@@ -1,11 +1,13 @@
 //! Batched structure-of-arrays crossbar engine for large radices.
 //!
-//! [`CrossbarSwitch`](crate::switch::CrossbarSwitch) walks heap-allocated
-//! per-flow queues (`HashMap<FlowId, VecDeque<Cell>>`) every slot. That
-//! layout supports the general many-flows-per-pair experiments, but at
-//! N=1024 the pointer chasing and per-cell `Cell` bookkeeping dominate the
-//! slot loop. [`BatchCrossbar`] is the wide-radix engine behind the
-//! scaling benches: it restricts itself to the *one-flow-per-pair*
+//! [`CrossbarSwitch`](crate::switch::CrossbarSwitch) keeps a slab of
+//! per-flow records, each a route pin plus a heap-allocated `VecDeque` of
+//! whole [`Cell`](crate::cell::Cell)s, and per-pair round-robin lists of
+//! slab slots. That layout supports the general many-flows-per-pair
+//! experiments, but at N=1024 the hops from pair list to flow record to
+//! cell deque, and the per-cell `Cell` bookkeeping, dominate the slot
+//! loop. [`BatchCrossbar`] is the wide-radix engine behind the scaling
+//! benches: it restricts itself to the *one-flow-per-pair*
 //! convention (`FlowId::for_pair`, which every uniform/load-sweep workload
 //! uses) and stores each input–output pair's queue as a FIFO of `u32`
 //! arrival slots in one dense `n*n` table of cache-line records.
@@ -14,7 +16,9 @@
 //! round-robin over flows degenerates to a per-pair FIFO, so pushing
 //! arrival slots instead of `Cell` objects loses nothing, and the
 //! incremental request-matrix maintenance (set on first cell, clear on
-//! drain) matches [`crate::voq::VoqBuffers`] exactly. The property test
+//! drain) matches [`crate::voq::VoqBuffers`] exactly. Queue-aware
+//! schedulers get the same per-pair depth and head-of-line age the scalar
+//! engine reports, read from the pair's record. The property test
 //! `tests/batch_vs_scalar.rs` pins byte-identical [`SwitchReport`]
 //! digests across schedulers, sizes and loads.
 //!
@@ -119,6 +123,18 @@ impl PairQueue {
             let v = self.spill[self.head as usize];
             self.head = ((self.head as usize + 1) & mask) as u32;
             v
+        }
+    }
+
+    /// The head-of-line cell's arrival slot, or `None` when empty.
+    #[inline]
+    fn front(&self) -> Option<u32> {
+        if self.len == 0 {
+            None
+        } else if self.spill.is_empty() {
+            self.inline.first().copied()
+        } else {
+            self.spill.get(self.head as usize).copied()
         }
     }
 
@@ -506,6 +522,9 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         let matching = if self.requests.is_empty() && self.scheduler.idle_slot_is_noop() {
             MatchingN::new(n)
         } else {
+            if self.scheduler.wants_queue_observations() {
+                self.observe_queues(slot);
+            }
             self.scheduler.schedule(&self.requests)
         };
         debug_assert!(
@@ -539,6 +558,23 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         }
         self.peak_occupancy = self.peak_occupancy.max(self.queued);
         self.slot += 1;
+    }
+
+    /// Feeds a queue-aware scheduler the depth and head-of-line age of
+    /// every active pair, read from its [`PairQueue`] — the same
+    /// observations [`CrossbarSwitch`](crate::switch::CrossbarSwitch)
+    /// reports from its VOQs.
+    fn observe_queues(&mut self, slot: u64) {
+        let n = self.n;
+        for (i, j) in self.requests.pairs() {
+            let Some(q) = self.pairs.get(i.index() * n + j.index()) else {
+                continue;
+            };
+            let age = q
+                .front()
+                .map_or(0, |arrived| slot.saturating_sub(u64::from(arrived)) as u32);
+            self.scheduler.observe_queue(i, j, q.len, age);
+        }
     }
 }
 

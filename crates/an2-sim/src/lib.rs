@@ -37,6 +37,7 @@ pub mod chaos;
 pub mod experiment;
 pub mod fault;
 pub mod fifo_switch;
+mod flow_slab;
 pub mod hybrid_switch;
 pub mod metrics;
 pub mod model;
@@ -49,6 +50,8 @@ pub mod traffic;
 pub mod units;
 pub mod virtual_clock;
 pub mod voq;
+#[cfg(test)]
+mod voq_differential;
 
 pub use batch::BatchCrossbar;
 pub use cell::{Arrival, Cell, FlowId};

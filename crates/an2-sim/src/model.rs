@@ -6,8 +6,8 @@
 //! the simulation driver and the experiment harness treat them uniformly.
 
 use crate::cell::{Arrival, Cell};
+use crate::flow_slab::FlowSlab;
 use crate::metrics::{DelayStats, SwitchReport};
-use an2_sched::det::DetHashMap;
 
 /// A switch simulated slot-by-slot.
 ///
@@ -54,7 +54,9 @@ pub(crate) struct ModelMetrics {
     arrivals: u64,
     departures: u64,
     per_output: Vec<u64>,
-    per_flow: DetHashMap<u64, u64>,
+    /// Departures per flow in the window. A flow keeps its slot (at zero)
+    /// across [`ModelMetrics::restart`]; the report lists nonzero counts.
+    per_flow: FlowSlab<u64>,
     delay: DelayStats,
     peak_occupancy: usize,
 }
@@ -68,7 +70,7 @@ impl ModelMetrics {
             arrivals: 0,
             departures: 0,
             per_output: vec![0; n],
-            per_flow: DetHashMap::default(),
+            per_flow: FlowSlab::new(n),
             delay: DelayStats::new(),
             peak_occupancy: 0,
         }
@@ -84,7 +86,7 @@ impl ModelMetrics {
         self.arrivals = 0;
         self.departures = 0;
         self.per_output = vec![0; self.n];
-        self.per_flow.clear();
+        self.per_flow.records_mut().for_each(|c| *c = 0);
         self.delay = DelayStats::new();
         self.peak_occupancy = 0;
     }
@@ -96,7 +98,12 @@ impl ModelMetrics {
     pub(crate) fn on_departure(&mut self, cell: &Cell) {
         self.departures += 1;
         self.per_output[cell.output.index()] += 1;
-        *self.per_flow.entry(cell.flow.0).or_insert(0) += 1;
+        let slot = self
+            .per_flow
+            .intern(cell.input.index(), cell.output.index(), cell.flow);
+        if let Some(c) = self.per_flow.get_mut(slot) {
+            *c += 1;
+        }
         if cell.arrival_slot >= self.measure_start {
             self.delay.record(self.slot - cell.arrival_slot);
         }
@@ -109,8 +116,12 @@ impl ModelMetrics {
     }
 
     pub(crate) fn report(&self, final_occupancy: usize) -> SwitchReport {
-        let mut per_flow: Vec<(u64, u64)> =
-            self.per_flow.iter().map(|(&f, &c)| (f, c)).collect();
+        let mut per_flow: Vec<(u64, u64)> = self
+            .per_flow
+            .iter()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(f, &c)| (f.0, c))
+            .collect();
         per_flow.sort_unstable();
         SwitchReport {
             delay: self.delay.clone(),

@@ -15,8 +15,8 @@
 //! blocking (§3.1).
 
 use crate::cell::{Cell, FlowId};
+use crate::flow_slab::FlowSlab;
 use an2_sched::{InputPort, OutputPort, RequestMatrix};
-use an2_sched::det::DetHashMap;
 use std::collections::VecDeque;
 
 /// Outcome of [`VoqBuffers::push`]: whether the buffer admitted the cell.
@@ -62,8 +62,27 @@ pub enum ServiceDiscipline {
     Fifo,
 }
 
+/// One flow's buffer state: its route pin and its FIFO of queued cells.
+#[derive(Clone, Debug, Default)]
+struct FlowQueue {
+    /// The output the flow is pinned to (flows never change route, §2);
+    /// `None` until first seen and after [`VoqBuffers::drop_flow`].
+    output: Option<OutputPort>,
+    /// Queued cells with their arrival sequence numbers, oldest first.
+    cells: VecDeque<(u64, Cell)>,
+}
+
 /// The input-side buffer pool of one switch: per-flow FIFO queues plus
 /// per-(input, output) round-robin lists of eligible flows.
+///
+/// Each flow gets one record in a dense slab the first time it is seen,
+/// holding its route pin and its queue. The eligible lists hold slab slots,
+/// so serving a pair, reading its head cell and scanning for the oldest
+/// cell never hash a [`FlowId`]. Admission maps the arriving cell's flow
+/// to its slot through a per-pair cache of the last flow seen there, and
+/// falls back to a flow-id map only on a miss; under the one-flow-per-pair
+/// convention every push after a pair's first is hash-free. The per-pair
+/// tables are flat `n * n` vectors indexed `i * n + j`.
 ///
 /// # Examples
 ///
@@ -86,19 +105,17 @@ pub struct VoqBuffers {
     discipline: ServiceDiscipline,
     /// Monotonic push counter; orders cells across flows for `Fifo`.
     next_seq: u64,
-    /// Per-flow FIFO queues of (arrival sequence, cell).
-    flows: DetHashMap<FlowId, VecDeque<(u64, Cell)>>,
-    /// Fixed output of each flow seen so far (flows never change route, §2).
-    flow_output: DetHashMap<FlowId, OutputPort>,
-    /// `eligible[i][j]` = round-robin queue of flows with cells at input
-    /// `i` for output `j`.
-    eligible: Vec<Vec<VecDeque<FlowId>>>,
+    /// Every flow seen so far, with its pin and queue.
+    flows: FlowSlab<FlowQueue>,
+    /// `eligible[i * n + j]` = round-robin queue of the slab slots of the
+    /// flows with cells at input `i` for output `j`.
+    eligible: Vec<VecDeque<u32>>,
     /// Total queued cells.
     total: usize,
     /// Queued cells per input (for occupancy metrics).
     per_input: Vec<usize>,
     /// Incrementally maintained request matrix: bit `(i, j)` is set iff
-    /// `eligible[i][j]` is non-empty. Kept in sync by `push`/`pop` so
+    /// `eligible[i * n + j]` is non-empty. Kept in sync by `push`/`pop` so
     /// [`VoqBuffers::requests`] is a free borrow instead of an `O(N²)`
     /// rebuild every slot.
     requests: RequestMatrix,
@@ -108,9 +125,9 @@ pub struct VoqBuffers {
     head_seqs: Vec<u64>,
     /// Per-pair cell budget; `None` = unbounded (the pre-fault default).
     capacity: Option<usize>,
-    /// `pair_count[i][j]` = queued cells of pair `(i, j)`, maintained so
-    /// capacity checks and [`VoqBuffers::pair_occupancy`] are O(1).
-    pair_count: Vec<Vec<usize>>,
+    /// `pair_count[i * n + j]` = queued cells of pair `(i, j)`, maintained
+    /// so capacity checks and [`VoqBuffers::pair_occupancy`] are O(1).
+    pair_count: Vec<usize>,
     /// Cells discarded (drop-tail, redirect overflow, stranded flows).
     drops_total: u64,
     /// Discards per input port.
@@ -140,19 +157,31 @@ impl VoqBuffers {
             n,
             discipline,
             next_seq: 0,
-            flows: DetHashMap::default(),
-            flow_output: DetHashMap::default(),
-            eligible: vec![vec![VecDeque::new(); n]; n],
+            flows: FlowSlab::new(n),
+            eligible: vec![VecDeque::new(); n * n],
             total: 0,
             per_input: vec![0; n],
             requests: RequestMatrix::new(n),
             heads: Vec::new(),
             head_seqs: Vec::new(),
             capacity: None,
-            pair_count: vec![vec![0; n]; n],
+            pair_count: vec![0; n * n],
             drops_total: 0,
             drops_per_input: vec![0; n],
         }
+    }
+
+    /// The flat index of pair `(i, j)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either port is out of range.
+    fn pair_index(&self, i: InputPort, j: OutputPort) -> usize {
+        assert!(
+            i.index() < self.n && j.index() < self.n,
+            "pair ({i},{j}) outside switch"
+        );
+        i.index() * self.n + j.index()
     }
 
     /// Sets the per-(input, output) cell budget; `None` restores unbounded
@@ -178,9 +207,7 @@ impl VoqBuffers {
         let Some(cap) = self.capacity else {
             return true;
         };
-        self.pair_count
-            .iter()
-            .all(|row| row.iter().all(|&c| c <= cap))
+        self.pair_count.iter().all(|&c| c <= cap)
     }
 
     /// Cells discarded so far (drop-tail on full VOQs, redirect overflow,
@@ -233,16 +260,15 @@ impl VoqBuffers {
     /// count is maintained incrementally by push/pop (it also backs the
     /// finite-capacity admission check).
     pub fn pair_occupancy(&self, i: InputPort, j: OutputPort) -> usize {
-        assert!(
-            i.index() < self.n && j.index() < self.n,
-            "pair ({i},{j}) outside switch"
-        );
-        self.pair_count[i.index()][j.index()]
+        self.pair_count[self.pair_index(i, j)]
     }
 
     /// Total queued cells of one flow.
     pub fn flow_occupancy(&self, flow: FlowId) -> usize {
-        self.flows.get(&flow).map_or(0, VecDeque::len)
+        self.flows
+            .find(flow)
+            .and_then(|slot| self.flows.get(slot))
+            .map_or(0, |f| f.cells.len())
     }
 
     /// The arrival slot of the pair's head-of-line cell — the oldest cell
@@ -257,13 +283,9 @@ impl VoqBuffers {
     ///
     /// Panics if either port is out of range.
     pub fn pair_head_arrival(&self, i: InputPort, j: OutputPort) -> Option<u64> {
-        assert!(
-            i.index() < self.n && j.index() < self.n,
-            "pair ({i},{j}) outside switch"
-        );
-        self.eligible[i.index()][j.index()]
+        self.eligible[self.pair_index(i, j)]
             .iter()
-            .filter_map(|flow| self.flows[flow].front())
+            .filter_map(|&slot| self.flows.get(slot)?.cells.front())
             .min_by_key(|&&(seq, _)| seq)
             .map(|&(_, cell)| cell.arrival_slot)
     }
@@ -282,42 +304,46 @@ impl VoqBuffers {
     /// previously seen with a different output (flows are route-pinned;
     /// reroute via [`VoqBuffers::redirect_flow`]).
     // an2-lint: allow(panic-freedom) the leading asserts are this API's
-    // documented "# Panics" contract; every later index is < n because they
-    // validated both ports
+    // documented "# Panics" contract; every later index is < n * n because
+    // they validated both ports, and the slab slot was just interned
     pub fn push(&mut self, cell: Cell) -> PushOutcome {
         let (i, j) = (cell.input, cell.output);
         assert!(
             i.index() < self.n && j.index() < self.n,
             "cell for ({i},{j}) outside switch"
         );
-        let pinned = self.flow_output.entry(cell.flow).or_insert(j);
+        let p = i.index() * self.n + j.index();
+        let slot = self.flows.intern(i.index(), j.index(), cell.flow);
+        let flow = self
+            .flows
+            .get_mut(slot)
+            .expect("interned slot is in the slab");
+        let pinned = *flow.output.get_or_insert(j);
         assert_eq!(
-            *pinned, j,
+            pinned, j,
             "flow {} changed output ({} -> {j}); flows are route-pinned",
             cell.flow, pinned
         );
         if let Some(cap) = self.capacity {
-            if self.pair_count[i.index()][j.index()] >= cap {
+            if self.pair_count[p] >= cap {
                 self.drops_total = self.drops_total.wrapping_add(1);
                 self.drops_per_input[i.index()] =
                     self.drops_per_input[i.index()].wrapping_add(1);
                 return PushOutcome::Dropped;
             }
         }
-        let q = self.flows.entry(cell.flow).or_default();
-        if q.is_empty() {
+        if flow.cells.is_empty() {
             // Flow becomes eligible for its pair.
             // an2-lint: allow(alloc-in-hot-path) amortized deque growth, bounded by live flows
-            self.eligible[i.index()][j.index()].push_back(cell.flow);
+            self.eligible[p].push_back(slot);
             self.requests.set(i, j);
         }
         // an2-lint: allow(alloc-in-hot-path) amortized deque growth, bounded by queued cells
-        q.push_back((self.next_seq, cell));
+        flow.cells.push_back((self.next_seq, cell));
         self.next_seq = self.next_seq.wrapping_add(1);
         self.total = self.total.wrapping_add(1);
         self.per_input[i.index()] = self.per_input[i.index()].wrapping_add(1);
-        self.pair_count[i.index()][j.index()] =
-            self.pair_count[i.index()][j.index()].wrapping_add(1);
+        self.pair_count[p] = self.pair_count[p].wrapping_add(1);
         PushOutcome::Admitted
     }
 
@@ -331,40 +357,55 @@ impl VoqBuffers {
     ///
     /// Panics if either port index is `>= n`.
     pub fn pop(&mut self, i: InputPort, j: OutputPort) -> Option<Cell> {
-        assert!(
-            i.index() < self.n && j.index() < self.n,
-            "pair ({i},{j}) outside switch"
-        );
-        let list = &mut self.eligible[i.index()][j.index()];
-        let pos = match self.discipline {
-            ServiceDiscipline::RoundRobin => 0,
+        let p = self.pair_index(i, j);
+        let list = &mut self.eligible[p];
+        let slot = match self.discipline {
+            ServiceDiscipline::RoundRobin => list.pop_front()?,
             ServiceDiscipline::Fifo => {
                 // Oldest head cell across the pair's flows.
+                let flows = &self.flows;
                 let pos = (0..list.len()).min_by_key(|&k| {
-                    self.flows[&list[k]]
-                        .front()
+                    flows
+                        .get(list[k])
+                        .and_then(|f| f.cells.front())
                         .expect("eligible flow has a queued cell")
                         .0
                 })?;
-                pos
+                list.remove(pos)?
             }
         };
-        let flow = *list.get(pos)?;
-        list.remove(pos);
-        let q = self.flows.get_mut(&flow).expect("eligible flow has a queue");
-        let (_, cell) = q.pop_front().expect("eligible flow has a queued cell");
-        if !q.is_empty() {
+        let flow = self
+            .flows
+            .get_mut(slot)
+            .expect("eligible slots are in the slab");
+        let (_, cell) = flow
+            .cells
+            .pop_front()
+            .expect("eligible flow has a queued cell");
+        if !flow.cells.is_empty() {
             // The flow rejoins at the back (round-robin rotation; harmless
             // under Fifo, which ignores list order).
-            list.push_back(flow);
+            list.push_back(slot);
         } else if list.is_empty() {
             // The pair's last eligible flow drained; retract its request.
             self.requests.clear(i, j);
         }
         self.total -= 1;
         self.per_input[i.index()] -= 1;
-        self.pair_count[i.index()][j.index()] -= 1;
+        self.pair_count[p] -= 1;
         Some(cell)
+    }
+
+    /// Removes `slot` from the eligible list of pair `(i, j)`, retracting
+    /// the pair's request if the list empties.
+    fn retire_eligible(&mut self, i: InputPort, j: OutputPort, slot: u32) {
+        let list = &mut self.eligible[i.index() * self.n + j.index()];
+        if let Some(pos) = list.iter().position(|&s| s == slot) {
+            list.remove(pos);
+            if list.is_empty() {
+                self.requests.clear(i, j);
+            }
+        }
     }
 
     /// Re-pins `flow` to `new_output`, moving its queued cells to the new
@@ -383,49 +424,44 @@ impl VoqBuffers {
             new_output.index() < self.n,
             "output {new_output} outside switch"
         );
-        let Some(&old_output) = self.flow_output.get(&flow) else {
-            // Unknown flow: pin it so future cells take the new route.
-            self.flow_output.insert(flow, new_output);
+        let slot = self.flows.slot_or_insert(flow);
+        let record = self
+            .flows
+            .get_mut(slot)
+            .expect("interned slot is in the slab");
+        // An unknown (or dropped) flow is just pinned so that future cells
+        // take the new route.
+        let Some(old_output) = record
+            .output
+            .replace(new_output)
+            .filter(|&old| old != new_output)
+        else {
             return 0;
         };
-        if old_output == new_output {
-            return 0;
-        }
-        self.flow_output.insert(flow, new_output);
-        let Some(q) = self.flows.get_mut(&flow) else {
+        let Some(&(_, head)) = record.cells.front() else {
             return 0;
         };
-        if q.is_empty() {
-            return 0;
-        }
-        let i = q.front().expect("non-empty queue").1.input;
-        let count = q.len();
-        let (oi, oj) = (i.index(), old_output.index());
-        let list = &mut self.eligible[oi][oj];
-        if let Some(pos) = list.iter().position(|f| *f == flow) {
-            list.remove(pos);
-            if list.is_empty() {
-                self.requests.clear(i, old_output);
-            }
-        }
-        self.pair_count[oi][oj] -= count;
-        let nj = new_output.index();
-        let room = self
-            .capacity
-            .map_or(usize::MAX, |cap| cap.saturating_sub(self.pair_count[oi][nj]));
+        let i = head.input;
+        let count = record.cells.len();
+        let (oi, nj) = (i.index(), new_output.index());
+        let room = self.capacity.map_or(usize::MAX, |cap| {
+            cap.saturating_sub(self.pair_count[oi * self.n + nj])
+        });
         let kept = count.min(room);
         let dropped = count - kept;
-        q.truncate(kept);
-        for (_, cell) in q.iter_mut() {
+        record.cells.truncate(kept);
+        for (_, cell) in record.cells.iter_mut() {
             cell.output = new_output;
         }
-        self.pair_count[oi][nj] += kept;
+        self.retire_eligible(i, old_output, slot);
+        self.pair_count[oi * self.n + old_output.index()] -= count;
+        self.pair_count[oi * self.n + nj] += kept;
         self.total -= dropped;
         self.per_input[oi] -= dropped;
         self.drops_total += dropped as u64;
         self.drops_per_input[oi] += dropped as u64;
         if kept > 0 {
-            self.eligible[oi][nj].push_back(flow);
+            self.eligible[oi * self.n + nj].push_back(slot);
             self.requests.set(i, new_output);
         }
         dropped
@@ -436,29 +472,27 @@ impl VoqBuffers {
     /// no surviving path through this switch. Returns the number of cells
     /// discarded (all counted as drops).
     pub fn drop_flow(&mut self, flow: FlowId) -> usize {
-        let count = match self.flows.remove(&flow) {
-            Some(q) if !q.is_empty() => {
-                let i = q.front().expect("non-empty queue").1.input;
-                let j = q.front().expect("non-empty queue").1.output;
-                let count = q.len();
-                let (ii, jj) = (i.index(), j.index());
-                let list = &mut self.eligible[ii][jj];
-                if let Some(pos) = list.iter().position(|f| *f == flow) {
-                    list.remove(pos);
-                    if list.is_empty() {
-                        self.requests.clear(i, j);
-                    }
-                }
-                self.pair_count[ii][jj] -= count;
-                self.total -= count;
-                self.per_input[ii] -= count;
-                self.drops_total += count as u64;
-                self.drops_per_input[ii] += count as u64;
-                count
-            }
-            _ => 0,
+        let Some(slot) = self.flows.find(flow) else {
+            return 0;
         };
-        self.flow_output.remove(&flow);
+        let record = self
+            .flows
+            .get_mut(slot)
+            .expect("interned slot is in the slab");
+        record.output = None;
+        let cells = std::mem::take(&mut record.cells);
+        let Some(&(_, head)) = cells.front() else {
+            return 0;
+        };
+        let (i, j) = (head.input, head.output);
+        let count = cells.len();
+        self.retire_eligible(i, j, slot);
+        let ii = i.index();
+        self.pair_count[ii * self.n + j.index()] -= count;
+        self.total -= count;
+        self.per_input[ii] -= count;
+        self.drops_total += count as u64;
+        self.drops_per_input[ii] += count as u64;
         count
     }
 
@@ -479,8 +513,8 @@ impl VoqBuffers {
         self.heads.resize(self.n, None);
         self.head_seqs.clear();
         self.head_seqs.resize(self.n, u64::MAX);
-        for q in self.flows.values() {
-            if let Some(&(seq, cell)) = q.front() {
+        for (_, flow) in self.flows.iter() {
+            if let Some(&(seq, cell)) = flow.cells.front() {
                 let idx = cell.input.index();
                 if seq < self.head_seqs[idx] {
                     self.head_seqs[idx] = seq;

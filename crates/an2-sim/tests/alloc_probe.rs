@@ -10,14 +10,17 @@
 //! The `an2-lint` call-graph rule proves the *scheduler* half of the slot
 //! loop allocation-free at the source level; this test is the runtime
 //! check that covers what the lint's name-resolution cannot see — the
-//! engine's own bookkeeping, `DelayStats::record`'s amortized histogram
-//! and `QuantileSketch::record`'s fixed bucket table.
+//! engines' own bookkeeping (the batch engine's pair table, the scalar
+//! engine's flow slab and VOQ deques), `DelayStats::record`'s amortized
+//! histogram and `QuantileSketch::record`'s fixed bucket table.
 
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::{InputPort, OutputPort, Pim};
+use an2_sched::{InputPort, Mwm, OutputPort, Pim, Scheduler};
 use an2_sim::batch::BatchCrossbar;
 use an2_sim::cell::Arrival;
 use an2_sim::metrics::QuantileSketch;
+use an2_sim::model::SwitchModel;
+use an2_sim::switch::CrossbarSwitch;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -278,4 +281,76 @@ fn wide_sparse_batch_slot_loop_does_not_allocate_after_warmup() {
     drive(&mut engine, 300);
     let allocs = local_count() - before;
     assert_eq!(allocs, 0, "wide sparse slot loop allocated {allocs} times");
+}
+
+/// The scalar engine's slot loop — VOQ push and pop through the flow
+/// slab, the queue-observation feed, scheduling, per-flow departure
+/// counts — allocates nothing once every flow record exists and every
+/// deque has grown to the pair capacity.
+///
+/// The warmup is explicit rather than statistical: a finite per-pair
+/// capacity bounds every flow's deque, preloading every pair to that
+/// capacity interns every flow and grows every deque to its bound, and
+/// draining the preload interns every flow in the departure counts and
+/// grows the delay histogram. Only then are arrivals offered.
+fn assert_scalar_slot_loop_is_allocation_free<S: Scheduler>(scheduler: S, label: &str) {
+    let n = 16usize;
+    let capacity = 12usize;
+    let mut sw = CrossbarSwitch::with_ports(n, scheduler);
+    sw.buffers_mut().set_pair_capacity(Some(capacity));
+    let mut preload = Vec::with_capacity(n * n * capacity);
+    for i in 0..n {
+        for j in 0..n {
+            for _ in 0..capacity {
+                preload.push(Arrival::pair(n, InputPort::new(i), OutputPort::new(j)));
+            }
+        }
+    }
+    assert_eq!(
+        sw.preload(&preload),
+        0,
+        "{label}: preload fits the capacity"
+    );
+    while sw.queued() > 0 {
+        sw.step(&[]);
+    }
+    let mut rng = Xoshiro256::seed_from(0x5CA1);
+    let mut buf: Vec<Arrival> = Vec::with_capacity(n);
+    let mut drive = |sw: &mut CrossbarSwitch<S>, slots: usize| {
+        for _ in 0..slots {
+            buf.clear();
+            for i in 0..n {
+                if rng.bernoulli(0.9) {
+                    buf.push(Arrival::pair(
+                        n,
+                        InputPort::new(i),
+                        OutputPort::new(rng.index(n)),
+                    ));
+                }
+            }
+            sw.step(&buf);
+        }
+    };
+    drive(&mut sw, 200);
+    let before = local_count();
+    drive(&mut sw, 2000);
+    let allocs = local_count() - before;
+    assert_eq!(
+        allocs, 0,
+        "{label}: scalar slot loop allocated {allocs} times"
+    );
+    assert!(
+        sw.report().departures > 0,
+        "{label}: the switch moved cells"
+    );
+}
+
+#[test]
+fn scalar_pim_slot_loop_does_not_allocate_after_preload() {
+    assert_scalar_slot_loop_is_allocation_free(Pim::new(16, 45), "pim");
+}
+
+#[test]
+fn scalar_mwm_slot_loop_does_not_allocate_after_preload() {
+    assert_scalar_slot_loop_is_allocation_free(Mwm::lqf(16), "mwm-lqf");
 }

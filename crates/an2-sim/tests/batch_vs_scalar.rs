@@ -14,7 +14,7 @@
 use an2_sched::islip::RoundRobinMatchingN;
 use an2_sched::maximum::MaximumMatchingN;
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::{AcceptPolicy, IterationLimit, Pim, Scheduler};
+use an2_sched::{AcceptPolicy, IterationLimit, Mwm, Pim, Scheduler, Serenade};
 use an2_sim::batch::BatchCrossbar;
 use an2_sim::cell::Arrival;
 use an2_sim::metrics::SwitchReport;
@@ -64,7 +64,10 @@ fn make_scheduler(which: usize, n: usize, seed: u64) -> Box<dyn Scheduler> {
         )),
         2 => Box::new(RoundRobinMatchingN::islip(n, 4)),
         3 => Box::new(RoundRobinMatchingN::rrm(n, 4)),
-        _ => Box::new(MaximumMatchingN::new()),
+        4 => Box::new(MaximumMatchingN::new()),
+        5 => Box::new(Mwm::lqf(n)),
+        6 => Box::new(Mwm::ocf(n)),
+        _ => Box::new(Serenade::new(n, seed)),
     }
 }
 
@@ -102,7 +105,7 @@ proptest! {
     #[test]
     fn batch_engine_matches_scalar_digest(
         n_idx in 0usize..3,
-        which in 0usize..5,
+        which in 0usize..8,
         load_pct in 10u32..=100,
         seed in any::<u64>(),
     ) {
@@ -117,5 +120,26 @@ proptest! {
             "batch and scalar engines diverged: scheduler {} n {} load {}",
             which, n, load
         );
+    }
+}
+
+/// Every queue-aware scheduler, at every size, near saturation where
+/// queues are deep and the weights decide the matching: the property
+/// above samples schedulers at random, this pins each one.
+#[test]
+fn queue_aware_schedulers_match_scalar_digest() {
+    for which in 5..8 {
+        for n in [4usize, 16] {
+            for load in [0.6, 0.97] {
+                let seed = 0xfeed ^ (which as u64) ^ ((n as u64) << 8);
+                let mut batch = BatchCrossbar::new(n, make_scheduler(which, n, seed));
+                let mut scalar = CrossbarSwitch::with_ports(n, make_scheduler(which, n, seed));
+                assert_eq!(
+                    run_digest(&mut batch, n, load, seed),
+                    run_digest(&mut scalar, n, load, seed),
+                    "batch and scalar engines diverged: scheduler {which} n {n} load {load}"
+                );
+            }
+        }
     }
 }
