@@ -30,11 +30,26 @@
 //! optimum. Because every effective weight is clamped to at least 1, a
 //! lone free–free requested pair is itself a positive-gain path, hence
 //! the result is always **maximal** over the healthy ports as well as
-//! max-weight (the chaos degraded-mask property relies on this). The
-//! relaxation sweeps only active rows and their bitset-intersected
-//! columns, so cost scales with the active-pair count, not `N²`, and all
-//! working storage lives in a reusable scratch arena — the hot path
-//! allocates nothing after warm-up.
+//! max-weight (the chaos degraded-mask property relies on this).
+//!
+//! Each `schedule` call first flattens the graph into a CSR edge list
+//! (compressed sparse row): the active rows in ascending order, each
+//! row's healthy requested outputs in ascending order, with their
+//! Q-matrix weights already clamped. The ~N augmentations of a slot then
+//! read only that list, so cost scales with the active-pair count, not
+//! `N²`. The weight of each matched edge is kept per output while the
+//! augmenting path is applied, so removing an edge during relaxation is
+//! one array read. Each sweep relaxes only **dirty** rows — those whose
+//! label rose since the row was last relaxed — in the same ascending
+//! order, with the same in-sweep updates, so a row raised earlier in a
+//! sweep is still relaxed later in that sweep. This is exact, not an
+//! approximation: a row relaxed again with an unchanged label produces
+//! the same `label + w` sums it already produced, output gains only ever
+//! grow, and an update needs a strict `>`. Such a row cannot change any
+//! gain, predecessor or label, so every sweep, every tie-break and the
+//! stopping sweep are what the full sweep over all rows would give. All
+//! working storage is sized once at construction, so the hot path
+//! allocates nothing.
 
 use crate::matching::MatchingN;
 use crate::port::{InputPort, OutputPort, PortSetN};
@@ -104,22 +119,53 @@ impl QMatrix {
     }
 }
 
-/// Reusable working storage for the max-gain augmentation; owning one
-/// lets the scheduler solve every slot without reallocating.
-#[derive(Clone, Debug, Default)]
+/// Working storage for the max-gain augmentation, sized once in
+/// [`MwmN::new`] so that solving a slot never allocates.
+#[derive(Clone, Debug)]
 struct MwmScratch {
     /// `match_out[i]` = output matched to input `i` (NIL if free).
     match_out: Vec<u32>,
     /// `match_in[j]` = input matched to output `j` (NIL if free).
     match_in: Vec<u32>,
+    /// `match_w[j]` = weight of the edge matched at output `j` (read only
+    /// while `match_in[j]` is not NIL).
+    match_w: Vec<i64>,
     /// Best alternating-path gain that leaves input `i` free to extend.
     label_in: Vec<i64>,
+    /// Whether `label_in[i]` rose since row `i` was last relaxed.
+    dirty: Vec<bool>,
     /// Best alternating-path gain of an added edge into output `j`.
     gain_out: Vec<i64>,
     /// The input whose edge achieved `gain_out[j]`.
     pred_out: Vec<u32>,
-    /// Active inputs (healthy, with at least one healthy requested output).
+    /// Active inputs (healthy, with at least one healthy requested
+    /// output), ascending; the first `active` entries of a call are live.
     active_in: Vec<u32>,
+    /// CSR row offsets: the edges of `active_in[k]` are
+    /// `edge_start[k]..edge_start[k + 1]`.
+    edge_start: Vec<u32>,
+    /// Output of each edge, ascending within a row.
+    edge_j: Vec<u32>,
+    /// Q-matrix weight of each edge, already clamped to at least 1.
+    edge_w: Vec<i64>,
+}
+
+impl MwmScratch {
+    fn new(n: usize) -> Self {
+        Self {
+            match_out: vec![NIL; n],
+            match_in: vec![NIL; n],
+            match_w: vec![0; n],
+            label_in: vec![NEG; n],
+            dirty: vec![false; n],
+            gain_out: vec![NEG; n],
+            pred_out: vec![NIL; n],
+            active_in: vec![0; n],
+            edge_start: vec![0; n + 1],
+            edge_j: vec![0; n * n],
+            edge_w: vec![0; n * n],
+        }
+    }
 }
 
 /// Maximum-weight matching over the Q-matrix, generic over the bitset
@@ -173,7 +219,7 @@ impl<const W: usize> MwmN<W> {
             policy,
             q: QMatrix::new(n),
             mask: None,
-            scratch: MwmScratch::default(),
+            scratch: MwmScratch::new(n),
         }
     }
 
@@ -200,7 +246,7 @@ impl<const W: usize> MwmN<W> {
     /// Successive max-gain augmentation; see the module docs for the
     /// correctness argument. `active_inputs`/`active_outputs` restrict the
     /// graph to healthy ports.
-    // an2-lint: allow(panic-freedom) the Hungarian working arrays are sized n+1 and all labels/links stay within 0..=n
+    // an2-lint: allow(panic-freedom, overflow-discipline) scratch arrays have length n (edge_start n + 1, the edge list n * n) and every port, active-row and edge index stays below it; a label sums at most n weights below 2^32, far inside i64
     fn solve(
         &mut self,
         requests: &RequestMatrixN<W>,
@@ -208,67 +254,94 @@ impl<const W: usize> MwmN<W> {
         active_outputs: &PortSetN<W>,
     ) -> MatchingN<W> {
         let n = self.n;
-        let scr = &mut self.scratch;
-        scr.match_out.clear();
-        scr.match_out.resize(n, NIL); // an2-lint: allow(alloc-in-hot-path) warm-up only; capacity reused after first slot
-        scr.match_in.clear();
-        scr.match_in.resize(n, NIL); // an2-lint: allow(alloc-in-hot-path) warm-up only; capacity reused after first slot
-        scr.label_in.clear();
-        scr.label_in.resize(n, NEG); // an2-lint: allow(alloc-in-hot-path) warm-up only; capacity reused after first slot
-        scr.gain_out.clear();
-        scr.gain_out.resize(n, NEG); // an2-lint: allow(alloc-in-hot-path) warm-up only; capacity reused after first slot
-        scr.pred_out.clear();
-        scr.pred_out.resize(n, NIL); // an2-lint: allow(alloc-in-hot-path) warm-up only; capacity reused after first slot
-        scr.active_in.clear();
+        let q = &self.q;
+        let MwmScratch {
+            match_out,
+            match_in,
+            match_w,
+            label_in,
+            dirty,
+            gain_out,
+            pred_out,
+            active_in,
+            edge_start,
+            edge_j,
+            edge_w,
+        } = &mut self.scratch;
+        match_out.fill(NIL);
+        match_in.fill(NIL);
+
+        // The edge list, built once per call: active rows ascending, each
+        // row's healthy requested outputs ascending, weights pre-clamped.
+        let mut active = 0;
+        let mut edges = 0;
         for i in requests.nonempty_rows().intersection(active_inputs).iter() {
-            if requests.row(InputPort::new(i)).intersects(active_outputs) {
-                scr.active_in.push(i as u32); // an2-lint: allow(alloc-in-hot-path) warm-up only; capacity reused after first slot
+            let row_start = edges;
+            for j in requests
+                .row(InputPort::new(i))
+                .intersection(active_outputs)
+                .iter()
+            {
+                edge_j[edges] = j as u32;
+                edge_w[edges] = q.weight(i, j);
+                edges += 1;
+            }
+            if edges > row_start {
+                active_in[active] = i as u32;
+                edge_start[active] = row_start as u32;
+                active += 1;
             }
         }
+        edge_start[active] = edges as u32;
+        let active_in = &active_in[..active];
         let active_cols = requests.nonempty_cols().intersection(active_outputs);
 
         // Labels propagate one alternating-path edge per sweep, and a
         // simple path visits each active input at most once.
-        let sweep_cap = scr.active_in.len() + 2;
+        let sweep_cap = active + 2;
 
         loop {
             // Relabel from scratch for this augmentation.
-            scr.label_in.fill(NEG);
-            scr.gain_out.fill(NEG);
-            scr.pred_out.fill(NIL);
-            for &iu in &scr.active_in {
-                if scr.match_out[iu as usize] == NIL {
-                    scr.label_in[iu as usize] = 0;
+            label_in.fill(NEG);
+            dirty.fill(false);
+            gain_out.fill(NEG);
+            pred_out.fill(NIL);
+            for &iu in active_in {
+                if match_out[iu as usize] == NIL {
+                    label_in[iu as usize] = 0;
+                    dirty[iu as usize] = true;
                 }
             }
             // Bellman–Ford over the alternating-gain graph: adding edge
             // (i, j) contributes +w(i, j); continuing through a matched
             // output removes its edge, contributing -w(partner, j). Fixed
             // sweep order (ascending i, ascending j) makes every
-            // equal-gain tie resolve to the lowest index.
+            // equal-gain tie resolve to the lowest index. Only dirty rows
+            // are relaxed: a row whose label has not risen since its last
+            // relaxation would reproduce gains that are already in place.
             for _ in 0..sweep_cap {
                 let mut changed = false;
-                for &iu in &scr.active_in {
+                for (k, &iu) in active_in.iter().enumerate() {
                     let i = iu as usize;
-                    let li = scr.label_in[i];
-                    if li == NEG {
+                    if !dirty[i] {
                         continue;
                     }
-                    for j in requests
-                        .row(InputPort::new(i))
-                        .intersection(active_outputs)
-                        .iter()
-                    {
-                        let g = li + self.q.weight(i, j);
-                        if g > scr.gain_out[j] {
-                            scr.gain_out[j] = g;
-                            scr.pred_out[j] = iu;
+                    dirty[i] = false;
+                    let li = label_in[i];
+                    let (start, end) = (edge_start[k] as usize, edge_start[k + 1] as usize);
+                    for (&ju, &w) in edge_j[start..end].iter().zip(&edge_w[start..end]) {
+                        let j = ju as usize;
+                        let g = li + w;
+                        if g > gain_out[j] {
+                            gain_out[j] = g;
+                            pred_out[j] = iu;
                             changed = true;
-                            let i2 = scr.match_in[j];
+                            let i2 = match_in[j];
                             if i2 != NIL {
-                                let relabeled = g - self.q.weight(i2 as usize, j);
-                                if relabeled > scr.label_in[i2 as usize] {
-                                    scr.label_in[i2 as usize] = relabeled;
+                                let relabeled = g - match_w[j];
+                                if relabeled > label_in[i2 as usize] {
+                                    label_in[i2 as usize] = relabeled;
+                                    dirty[i2 as usize] = true;
                                 }
                             }
                         }
@@ -284,8 +357,8 @@ impl<const W: usize> MwmN<W> {
             let mut best_gain = 0i64;
             let mut best_j = NIL as usize;
             for j in active_cols.iter() {
-                if scr.match_in[j] == NIL && scr.gain_out[j] > best_gain {
-                    best_gain = scr.gain_out[j];
+                if match_in[j] == NIL && gain_out[j] > best_gain {
+                    best_gain = gain_out[j];
                     best_j = j;
                 }
             }
@@ -297,10 +370,11 @@ impl<const W: usize> MwmN<W> {
             // each rematched input's former output is the next to rematch.
             let mut j = best_j;
             loop {
-                let i = scr.pred_out[j] as usize;
-                let freed = scr.match_out[i];
-                scr.match_out[i] = j as u32;
-                scr.match_in[j] = i as u32;
+                let i = pred_out[j] as usize;
+                let freed = match_out[i];
+                match_out[i] = j as u32;
+                match_in[j] = i as u32;
+                match_w[j] = q.weight(i, j);
                 if freed == NIL {
                     break;
                 }
@@ -309,8 +383,8 @@ impl<const W: usize> MwmN<W> {
         }
 
         let mut m = MatchingN::new(n);
-        for &iu in &scr.active_in {
-            let j = scr.match_out[iu as usize];
+        for &iu in active_in {
+            let j = match_out[iu as usize];
             if j != NIL {
                 m.pair(InputPort::new(iu as usize), OutputPort::new(j as usize))
                     .expect("MWM produced a conflicting matching");

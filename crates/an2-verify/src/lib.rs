@@ -10,9 +10,11 @@
 //! * [`oracle`] — **differential oracles**: a [`ReferencePim`] over plain
 //!   `Vec<Vec<bool>>` matrices that replicates the optimised scheduler's
 //!   draw discipline bit-for-bit, a Kuhn maximum-matching reference for
-//!   Hopcroft–Karp, a brute-force frame-schedule feasibility search for
-//!   the Slepian–Duguid construction, and confidence-bound helpers for
-//!   the analytic M/D/1 and Karol cross-checks.
+//!   Hopcroft–Karp, the full-sweep [`ReferenceMwm`] that the production
+//!   MWM solver must match pair for pair, a brute-force frame-schedule
+//!   feasibility search for the Slepian–Duguid construction, and
+//!   confidence-bound helpers for the analytic M/D/1 and Karol
+//!   cross-checks.
 //! * [`runner`] — an **invariant-checked probe runner** that drives a
 //!   scheduler + VOQ pair slot by slot, re-verifying after every slot
 //!   that the matching is a legal (optionally maximal) permutation
@@ -39,6 +41,6 @@ pub mod oracle;
 pub mod replay;
 pub mod runner;
 
-pub use oracle::ReferencePim;
+pub use oracle::{ReferenceMwm, ReferencePim};
 pub use replay::{shrink, ReplayCase};
 pub use runner::{run_case, RunOutcome};

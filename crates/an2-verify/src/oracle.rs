@@ -8,7 +8,9 @@
 
 use an2_sched::pim::{AcceptPolicy, IterationLimit};
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::RequestMatrix;
+use an2_sched::{
+    InputPort, MatchingN, OutputPort, PortSetN, RequestMatrix, RequestMatrixN, WeightPolicy,
+};
 
 /// Textbook PIM over `Vec<Vec<bool>>` request matrices.
 ///
@@ -292,7 +294,6 @@ pub fn brute_force_max_weight_matching<const W: usize>(
     requests: &an2_sched::RequestMatrixN<W>,
     weight: &dyn Fn(usize, usize) -> i64,
 ) -> i64 {
-    use an2_sched::{InputPort, OutputPort};
     let cols: Vec<usize> = requests.nonempty_cols().iter().collect();
     let c = cols.len();
     assert!(
@@ -323,6 +324,176 @@ pub fn brute_force_max_weight_matching<const W: usize>(
         }
     }
     dp.into_iter().max().expect("dp table is never empty")
+}
+
+/// The exact max-weight matching solver as it stood before the
+/// production `an2_sched::MwmN` gained its edge list and dirty-row
+/// relaxation: successive max-gain augmentation where every
+/// Bellman–Ford sweep re-walks every active row and re-reads every
+/// weight.
+///
+/// The production solver must return **the same matching, pair for
+/// pair** — not merely one of equal weight — because the engines' delay
+/// digests depend on which of several optimal matchings wins a tie. The
+/// oracle keeps its own Q-matrix (the last observation per pair, read
+/// clamped to at least 1, 1 for a pair never observed) so that
+/// multi-slot sequences can be fed to both sides identically.
+#[derive(Clone, Debug)]
+pub struct ReferenceMwm {
+    n: usize,
+    policy: WeightPolicy,
+    q: Vec<u32>,
+}
+
+impl ReferenceMwm {
+    /// An `n`-port reference whose observations fold through `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize, policy: WeightPolicy) -> Self {
+        assert!(n > 0, "switch must have at least one port");
+        Self {
+            n,
+            policy,
+            q: vec![0; n * n],
+        }
+    }
+
+    /// Records one queue observation, as `Scheduler::observe_queue` does.
+    pub fn observe_queue(&mut self, i: usize, j: usize, depth: u32, age: u32) {
+        self.q[i * self.n + j] = self.policy.weight(depth, age);
+    }
+
+    /// The effective weight of pair `(i, j)`: its last observation, or 1.
+    fn weight(&self, i: usize, j: usize) -> i64 {
+        i64::from(self.q[i * self.n + j].max(1))
+    }
+
+    /// Solves one slot over the oracle's own Q-matrix.
+    pub fn schedule<const W: usize>(
+        &self,
+        requests: &RequestMatrixN<W>,
+        active_inputs: &PortSetN<W>,
+        active_outputs: &PortSetN<W>,
+    ) -> MatchingN<W> {
+        Self::solve(requests, active_inputs, active_outputs, &|i, j| {
+            self.weight(i, j)
+        })
+    }
+
+    /// The full-sweep solver over an arbitrary positive weight function.
+    /// `active_inputs`/`active_outputs` restrict the graph to healthy
+    /// ports.
+    pub fn solve<const W: usize>(
+        requests: &RequestMatrixN<W>,
+        active_inputs: &PortSetN<W>,
+        active_outputs: &PortSetN<W>,
+        weight: &dyn Fn(usize, usize) -> i64,
+    ) -> MatchingN<W> {
+        const NIL: u32 = u32::MAX;
+        const NEG: i64 = i64::MIN / 2;
+        let n = requests.n();
+        let mut match_out = vec![NIL; n];
+        let mut match_in = vec![NIL; n];
+        let mut label_in = vec![NEG; n];
+        let mut gain_out = vec![NEG; n];
+        let mut pred_out = vec![NIL; n];
+        let mut active_in: Vec<u32> = Vec::new();
+        for i in requests.nonempty_rows().intersection(active_inputs).iter() {
+            if requests.row(InputPort::new(i)).intersects(active_outputs) {
+                active_in.push(i as u32);
+            }
+        }
+        let active_cols = requests.nonempty_cols().intersection(active_outputs);
+
+        // Labels propagate one alternating-path edge per sweep, and a
+        // simple path visits each active input at most once.
+        let sweep_cap = active_in.len() + 2;
+
+        loop {
+            // Relabel from scratch for this augmentation.
+            label_in.fill(NEG);
+            gain_out.fill(NEG);
+            pred_out.fill(NIL);
+            for &iu in &active_in {
+                if match_out[iu as usize] == NIL {
+                    label_in[iu as usize] = 0;
+                }
+            }
+            // Bellman–Ford over the alternating-gain graph, every active
+            // row every sweep, ascending i then ascending j.
+            for _ in 0..sweep_cap {
+                let mut changed = false;
+                for &iu in &active_in {
+                    let i = iu as usize;
+                    let li = label_in[i];
+                    if li == NEG {
+                        continue;
+                    }
+                    for j in requests
+                        .row(InputPort::new(i))
+                        .intersection(active_outputs)
+                        .iter()
+                    {
+                        let g = li + weight(i, j);
+                        if g > gain_out[j] {
+                            gain_out[j] = g;
+                            pred_out[j] = iu;
+                            changed = true;
+                            let i2 = match_in[j];
+                            if i2 != NIL {
+                                let relabeled = g - weight(i2 as usize, j);
+                                if relabeled > label_in[i2 as usize] {
+                                    label_in[i2 as usize] = relabeled;
+                                }
+                            }
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+
+            // The best strictly-positive completion at a free output;
+            // ties break toward the lower output index.
+            let mut best_gain = 0i64;
+            let mut best_j = NIL as usize;
+            for j in active_cols.iter() {
+                if match_in[j] == NIL && gain_out[j] > best_gain {
+                    best_gain = gain_out[j];
+                    best_j = j;
+                }
+            }
+            if best_j == NIL as usize {
+                break;
+            }
+
+            // Apply the augmenting path by walking the predecessor chain.
+            let mut j = best_j;
+            loop {
+                let i = pred_out[j] as usize;
+                let freed = match_out[i];
+                match_out[i] = j as u32;
+                match_in[j] = i as u32;
+                if freed == NIL {
+                    break;
+                }
+                j = freed as usize;
+            }
+        }
+
+        let mut m = MatchingN::new(n);
+        for &iu in &active_in {
+            let j = match_out[iu as usize];
+            if j != NIL {
+                m.pair(InputPort::new(iu as usize), OutputPort::new(j as usize))
+                    .expect("reference MWM produced a conflicting matching");
+            }
+        }
+        m
+    }
 }
 
 /// Whether `measured` agrees with an analytic `predicted` value within

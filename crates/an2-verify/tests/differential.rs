@@ -12,10 +12,10 @@ use an2_sim::fifo_switch::FifoSwitch;
 use an2_sim::output_queued::OutputQueuedSwitch;
 use an2_sim::sim::{simulate, SimConfig};
 use an2_sim::traffic::RateMatrixTraffic;
-use an2_sched::{Mwm, Serenade, WeightPolicy};
+use an2_sched::{MatchingN, Mwm, MwmN, PortMaskN, RequestMatrixN, Serenade, WeightPolicy};
 use an2_verify::oracle::{
     brute_force_max_weight_matching, frame_demand_feasible, kuhn_maximum_matching_size,
-    within_confidence, ReferencePim,
+    within_confidence, ReferenceMwm, ReferencePim,
 };
 
 /// Draws an identical instance in both representations.
@@ -247,6 +247,114 @@ fn mwm_matches_brute_force_on_sparse_wide_switches() {
             .collect();
         let label = format!("n={n} trial={trial} policy={policy:?}");
         assert_mwm_optimal(n, policy, &reqs, &weights, &label);
+    }
+}
+
+/// Asserts that two matchings pair every input identically.
+fn assert_same_pairs<const W: usize>(
+    fast: &MatchingN<W>,
+    slow: &MatchingN<W>,
+    n: usize,
+    label: &str,
+) {
+    for i in 0..n {
+        let i = InputPort::new(i);
+        assert_eq!(
+            fast.output_of(i),
+            slow.output_of(i),
+            "{label}: input {} diverged from the reference",
+            i.index()
+        );
+    }
+}
+
+/// Drives the production solver and [`ReferenceMwm`] through `slots`
+/// consecutive calls that share one persistent Q-matrix, and demands the
+/// same matching pair for pair on every call. Each slot observes only a
+/// random share of the requested pairs, so stale weights from earlier
+/// slots and never-observed pairs (weight 1) both stay in play.
+/// Observed weights land in 1..=3, so ties are everywhere and only the
+/// identical tie-break order survives. With probability `mask_p` a slot
+/// fails a few random ports first.
+fn run_mwm_sequence<const W: usize>(
+    n: usize,
+    policy: WeightPolicy,
+    slots: usize,
+    mask_p: f64,
+    make_requests: &mut dyn FnMut(&mut Xoshiro256) -> RequestMatrixN<W>,
+    rng: &mut Xoshiro256,
+    label: &str,
+) {
+    let mut fast = MwmN::<W>::new(n, policy);
+    let mut slow = ReferenceMwm::new(n, policy);
+    for slot in 0..slots {
+        let reqs = make_requests(rng);
+        for (i, j) in reqs.pairs() {
+            if rng.bernoulli(0.7) {
+                let (depth, age) = (rng.index(4) as u32, rng.index(3) as u32);
+                fast.observe_queue(i, j, depth, age);
+                slow.observe_queue(i.index(), j.index(), depth, age);
+            }
+        }
+        let mut mask = PortMaskN::<W>::all(n);
+        if rng.bernoulli(mask_p) {
+            for _ in 0..=rng.index(3) {
+                mask.fail_input(rng.index(n));
+                mask.fail_output(rng.index(n));
+            }
+        }
+        fast.set_port_mask(mask);
+        let got = fast.schedule(&reqs);
+        let want = slow.schedule(&reqs, mask.active_inputs(), mask.active_outputs());
+        assert_same_pairs(&got, &want, n, &format!("{label} slot={slot}"));
+    }
+}
+
+/// The production MWM solver (edge list, dirty-row relaxation) against
+/// the full-sweep reference it replaced, at every radix 2..=64: the
+/// *same matching*, not just the same weight. The brute-force tests
+/// above check only the total, so a changed tie-break among equally
+/// heavy matchings would slip past them; this one convicts it.
+#[test]
+fn mwm_equals_full_sweep_reference_pair_for_pair() {
+    let mut rng = Xoshiro256::seed_from(0x5EE9_1992);
+    for n in 2usize..=64 {
+        for policy in [WeightPolicy::Lqf, WeightPolicy::Ocf] {
+            let density = 0.05 + rng.uniform_f64() * 0.95;
+            let label = format!("n={n} policy={policy:?} density={density:.2}");
+            run_mwm_sequence::<4>(
+                n,
+                policy,
+                8,
+                0.3,
+                &mut |rng| RequestMatrix::random(n, density, rng),
+                &mut rng,
+                &label,
+            );
+        }
+    }
+}
+
+/// The same pair-for-pair differential on the wide width at N=520 (nine
+/// bitset words, so rows and masks span word boundaries), in the sparse
+/// regime the wide engine schedules.
+#[test]
+fn wide_mwm_equals_full_sweep_reference_on_sparse_520() {
+    let n = 520;
+    let mut rng = Xoshiro256::seed_from(0x5EE9_0520);
+    for policy in [WeightPolicy::Lqf, WeightPolicy::Ocf] {
+        for density in [0.002, 0.01] {
+            let label = format!("wide n={n} policy={policy:?} density={density}");
+            run_mwm_sequence::<16>(
+                n,
+                policy,
+                6,
+                0.5,
+                &mut |rng| RequestMatrixN::random(n, density, rng),
+                &mut rng,
+                &label,
+            );
+        }
     }
 }
 
