@@ -4,21 +4,34 @@
 //! simulator (arbitrary topologies, faults, rerouting); stepping a
 //! 1000-switch network through 10k slots with it is a minutes-scale job.
 //! This module is the scale-out companion: a fixed **ring** of identical
-//! crossbar switches whose per-slot work is sharded across an
-//! [`an2_task::Pool`] with a deterministic serial merge, so the same run
-//! is bit-identical at any thread count.
+//! crossbar switches stepped in lockstep by workers of an
+//! [`an2_task::Pool`], so the same run is bit-identical at any thread
+//! count.
 //!
 //! Determinism argument: every switch's state — its traffic generator,
 //! its PIM scheduler streams, its VOQ contents — is a function of its own
 //! seed (`task_seed(root, "sw{k}")`) and of the cells its ring
-//! predecessor hands it. A slot advances in two phases:
+//! predecessor hands it, one per slot with one slot of link latency.
+//! Within a slot the switches are therefore independent, and only the
+//! ring link crosses between them.
 //!
-//! 1. **Phase A (parallel)**: each switch consumes its inbox, injects
-//!    host traffic from its private RNG, schedules its crossbar and fills
-//!    its outbox. Switches touch only their own state, so how the pool
-//!    chunks them across workers cannot affect any value.
-//! 2. **Phase B (serial merge)**: outboxes are moved to successor
-//!    inboxes in switch-index order (one-slot link latency).
+//! The ring is split once per run into contiguous ranges of switches, one
+//! per worker ([`Pool::for_each_part`]). Each slot, every worker:
+//!
+//! 1. takes the cell the previous range handed over last slot into its
+//!    first switch's inbox;
+//! 2. steps its switches: each consumes its inbox, injects host traffic
+//!    from its private RNG, schedules its crossbar and fills its outbox;
+//! 3. moves each outbox to the successor's inbox inside its range;
+//! 4. hands its last switch's outbox to the next range, in a cell
+//!    double-buffered by slot parity;
+//! 5. waits at a barrier shared by all workers.
+//!
+//! The parity buffer means a handoff written in slot `s` is read in slot
+//! `s + 1` while the writer already fills the other buffer, so one barrier
+//! per slot orders every write before its read. After the last slot the
+//! cells still in a handoff are drained into inboxes, so the end state
+//! equals a serial run's.
 //!
 //! The end-of-run [`ShardReport`] aggregates per-switch counters in index
 //! order and carries an FNV digest over them, so `--threads 1` and
@@ -30,12 +43,9 @@ use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, PortSide};
 use an2_sim::metrics::QuantileSketch;
 use an2_task::{task_seed, Pool};
 use std::fmt;
-
-/// Number of switch chunks handed to the pool per slot. Fixed (not the
-/// worker count) so the chunk boundaries are part of the scenario, not of
-/// the machine; correctness does not depend on it because switches are
-/// independent within a phase.
-const CHUNKS: usize = 64;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 /// Longest gap between ring-link re-reservation probes (slots). Backoff
 /// doubles from 1 up to this bound, so a switch whose outgoing link died
@@ -137,6 +147,10 @@ impl ShardNetConfig {
     fn validate(&self) {
         assert!(self.switches >= 2, "a ring needs at least two switches");
         assert!(
+            self.switches <= 1 << 20,
+            "destination switch is packed in 20 bits (switches <= 2^20)"
+        );
+        assert!(
             self.radix >= 2 && self.radix <= 256,
             "shard switches use the narrow scheduler width (radix 2..=256)"
         );
@@ -172,7 +186,7 @@ fn inject_slot(cell: u64) -> u64 {
 }
 
 /// One ring switch: private RNG, PIM scheduler, per-pair VOQ rings, and
-/// the single-cell link buffers the merge phase moves.
+/// the single-cell link buffers the stepper moves between switches.
 #[derive(Debug)]
 struct SwitchShard {
     k: usize,
@@ -285,22 +299,21 @@ impl SwitchShard {
         self.queued += 1;
     }
 
-    /// Phase A for one slot: consume the inbox, inject host traffic,
-    /// schedule the crossbar, deliver local cells and fill the outbox.
+    /// One slot: consume the inbox, inject host traffic, schedule the
+    /// crossbar, deliver local cells and fill the outbox.
     // an2-lint: hot
     fn step(&mut self, slot: u64) {
         let none = PortSet::new();
         self.advance(slot, &none, &none, false);
     }
 
-    /// Phase A under this switch's fault plan: applies due events (mask
+    /// One slot under this switch's fault plan: applies due events (mask
     /// changes, on-the-wire cell losses, clock drift), runs the bounded-
     /// backoff re-reservation probe for a failed ring link, then the
     /// ordinary inject/schedule/transmit sequence. With an empty plan the
     /// slot is bit-identical to [`SwitchShard::step`] — the RNG draw order
     /// never depends on fault state.
     // an2-lint: hot
-    // an2-lint: allow(overflow-discipline) monotone u64 fault counters; slot >= down_since and backoff is clamped to MAX_BACKOFF, so the slot arithmetic cannot wrap
     fn step_faulted(&mut self, slot: u64) {
         let mut injected = PortSet::new();
         let mut corrupted = PortSet::new();
@@ -315,13 +328,13 @@ impl SwitchShard {
                         // the wire and start the re-reservation loop.
                         self.link_up = false;
                         if self.outbox.take().is_some() {
-                            self.dropped += 1;
+                            self.dropped = self.dropped.saturating_add(1);
                         }
                         if !self.reserving {
                             self.reserving = true;
                             self.down_since = slot;
                             self.backoff = 1;
-                            self.retry_at = slot + 1;
+                            self.retry_at = slot.saturating_add(1);
                         }
                     }
                     mask_changed |= self.mask.fail_output(output);
@@ -357,23 +370,25 @@ impl SwitchShard {
                     self.drift_until = self.drift_until.max(slot.saturating_add(slots));
                 }
             }
-            self.applied += 1;
+            self.applied = self.applied.saturating_add(1);
         }
         self.plan = plan;
         // Bounded-backoff re-reservation: probe the dead ring link on the
         // backoff schedule; once it is physically up a probe re-reserves
         // the slot capacity and unmasks the output.
         if self.reserving && slot >= self.retry_at {
-            self.res_attempts += 1;
+            self.res_attempts = self.res_attempts.saturating_add(1);
             if self.link_up {
                 self.reserving = false;
                 mask_changed |= self.mask.recover_output(0);
-                self.recoveries += 1;
-                self.recovery_slots += slot - self.down_since;
+                self.recoveries = self.recoveries.saturating_add(1);
+                self.recovery_slots = self
+                    .recovery_slots
+                    .saturating_add(slot.saturating_sub(self.down_since));
             } else {
-                self.res_failures += 1;
-                self.backoff = (self.backoff * 2).min(MAX_BACKOFF);
-                self.retry_at = slot + self.backoff;
+                self.res_failures = self.res_failures.saturating_add(1);
+                self.backoff = self.backoff.saturating_mul(2).min(MAX_BACKOFF);
+                self.retry_at = slot.saturating_add(self.backoff);
             }
         }
         if mask_changed {
@@ -383,7 +398,7 @@ impl SwitchShard {
         self.advance(slot, &injected, &corrupted, skip_schedule);
     }
 
-    /// The Phase A engine shared by [`SwitchShard::step`] (no faults) and
+    /// The slot engine shared by [`SwitchShard::step`] (no faults) and
     /// [`SwitchShard::step_faulted`]. RNG draws happen for every host
     /// arrival whether or not a fault consumes it, so masking and drops
     /// are draw-neutral.
@@ -438,10 +453,129 @@ impl SwitchShard {
         }
     }
 
+    /// Takes the cell this switch put on its ring link this slot. A link
+    /// that is physically down loses it (defensive: the mask normally
+    /// keeps the outbox empty while the link is down, and fault-free runs
+    /// never take a link down).
+    fn transmit(&mut self) -> Option<u64> {
+        let cell = self.outbox.take()?;
+        if self.link_up {
+            Some(cell)
+        } else {
+            self.dropped = self.dropped.saturating_add(1);
+            None
+        }
+    }
+
+    /// Puts the cell from the ring predecessor into the inbox.
+    fn receive(&mut self, cell: Option<u64>) {
+        debug_assert!(self.inbox.is_none(), "inbox consumed every slot");
+        self.inbox = cell;
+    }
+
     /// Cells still inside this switch (VOQs plus undelivered link buffers).
     fn in_flight(&self) -> u64 {
         self.queued + self.inbox.is_some() as u64 + self.outbox.is_some() as u64
     }
+}
+
+/// The ring link from one worker's range into the next one's first
+/// switch, double-buffered by slot parity: the cell sent in slot `s` sits
+/// in buffer `s % 2` and is received in slot `s + 1`, while the sender is
+/// already filling the other buffer.
+#[derive(Debug, Default)]
+struct Handoff {
+    even: Mutex<Option<u64>>,
+    odd: Mutex<Option<u64>>,
+}
+
+impl Handoff {
+    /// The buffer written in `slot`.
+    fn sent_in(&self, slot: u64) -> MutexGuard<'_, Option<u64>> {
+        let m = if slot.is_multiple_of(2) { &self.even } else { &self.odd };
+        m.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The buffer read at the start of `slot`: the one written in the
+    /// previous slot.
+    fn received_in(&self, slot: u64) -> MutexGuard<'_, Option<u64>> {
+        self.sent_in(slot.wrapping_add(1))
+    }
+}
+
+/// Steps the whole ring (`switches` in index order) through `slots` slots
+/// with `step`, one contiguous range of switches per pool worker; see the
+/// module docs for the per-slot protocol. Workers are spawned once for
+/// the run, and nothing is allocated per slot.
+///
+/// A panic in any worker's step is caught, every worker leaves at the
+/// same barrier, and the panic is re-raised from the pool, so a failed
+/// debug assertion fails the run instead of deadlocking it.
+fn step_ring(
+    switches: &mut [SwitchShard],
+    slots: u64,
+    pool: &Pool,
+    step: fn(&mut SwitchShard, u64),
+) {
+    if slots == 0 {
+        return;
+    }
+    let parts = pool.parts(switches.len());
+    let handoffs: Vec<Handoff> = (0..parts).map(|_| Handoff::default()).collect();
+    let barrier = Barrier::new(parts);
+    // First slot in which a step panicked. A worker may already be failing
+    // in slot `s + 1` while another still checks after barrier `s`, so the
+    // check compares slots instead of reading a flag. Relaxed suffices:
+    // the barrier orders every store of slot `s` before the loads after it.
+    let failed_in = AtomicU64::new(u64::MAX);
+    pool.for_each_part(switches, |part, range| {
+        let inbound = &handoffs[part];
+        let outbound = &handoffs[(part + 1) % parts];
+        for slot in 0..slots {
+            let stepped = panic::catch_unwind(AssertUnwindSafe(|| {
+                slot_in_range(range, inbound, outbound, slot, step);
+            }));
+            if stepped.is_err() {
+                failed_in.fetch_min(slot, Ordering::Relaxed);
+            }
+            barrier.wait();
+            if failed_in.load(Ordering::Relaxed) <= slot {
+                if let Err(payload) = stepped {
+                    panic::resume_unwind(payload);
+                }
+                return;
+            }
+        }
+        // Drain the last slot's handoff so no cell is left between ranges.
+        if let Some(first) = range.first_mut() {
+            first.receive(inbound.received_in(slots).take());
+        }
+    });
+}
+
+/// One slot of one worker's range: receive from the previous range, step
+/// every switch, move outboxes to successor inboxes, and hand the last
+/// switch's outbox to the next range.
+// an2-lint: hot
+fn slot_in_range(
+    range: &mut [SwitchShard],
+    inbound: &Handoff,
+    outbound: &Handoff,
+    slot: u64,
+    step: fn(&mut SwitchShard, u64),
+) {
+    if let Some(first) = range.first_mut() {
+        first.receive(inbound.received_in(slot).take());
+    }
+    for sw in range.iter_mut() {
+        step(sw, slot);
+    }
+    let mut carried = None;
+    for sw in range.iter_mut() {
+        sw.receive(carried);
+        carried = sw.transmit();
+    }
+    *outbound.sent_in(slot) = carried;
 }
 
 /// Aggregate result of a sharded network run; identical at any thread
@@ -509,36 +643,8 @@ impl fmt::Display for ShardReport {
 pub fn run_shard_net(cfg: &ShardNetConfig, pool: &Pool) -> ShardReport {
     cfg.validate();
     let k = cfg.switches;
-    let mut chunks: Vec<Vec<SwitchShard>> = Vec::new();
-    let chunk_len = k.div_ceil(CHUNKS.min(k));
-    let mut next = 0usize;
-    while next < k {
-        let end = (next + chunk_len).min(k);
-        chunks.push((next..end).map(|i| SwitchShard::new(cfg, i)).collect());
-        next = end;
-    }
-    let locate = |i: usize| (i / chunk_len, i % chunk_len);
-
-    for slot in 0..cfg.slots {
-        // Phase A: independent per-switch work, sharded across the pool.
-        chunks = pool.map(std::mem::take(&mut chunks), |_, mut chunk| {
-            for sw in &mut chunk {
-                sw.step(slot);
-            }
-            chunk
-        });
-        // Phase B: serial merge in switch-index order — ring links carry
-        // one cell with one slot of latency.
-        for i in 0..k {
-            let (c, o) = locate(i);
-            let Some(cell) = chunks[c][o].outbox.take() else {
-                continue;
-            };
-            let (nc, no) = locate((i + 1) % k);
-            debug_assert!(chunks[nc][no].inbox.is_none());
-            chunks[nc][no].inbox = Some(cell);
-        }
-    }
+    let mut switches: Vec<SwitchShard> = (0..k).map(|i| SwitchShard::new(cfg, i)).collect();
+    step_ring(&mut switches, cfg.slots, pool, SwitchShard::step);
 
     // Deterministic reduction in switch-index order.
     let mut injected = 0u64;
@@ -553,9 +659,7 @@ pub fn run_shard_net(cfg: &ShardNetConfig, pool: &Pool) -> ShardReport {
             *d = d.wrapping_mul(0x1_0000_0000_01b3);
         }
     };
-    for i in 0..k {
-        let (c, o) = locate(i);
-        let sw = &chunks[c][o];
+    for sw in &switches {
         injected += sw.injected;
         delivered += sw.delivered;
         in_flight += sw.in_flight();
@@ -685,7 +789,8 @@ impl fmt::Display for ShardFaultReport {
 /// synthetic `CellDrop { switch: successor, input: 0 }` at the same slot:
 /// the cell in flight on the dying link sits in the successor's inbox
 /// under the one-slot link-latency model, and only the successor can
-/// drop it without crossing shard boundaries during the parallel phase.
+/// drop it without touching another switch's state mid-slot (the two may
+/// sit in different workers' ranges).
 fn split_plan(plan: &FaultPlan, switches: usize) -> Vec<Vec<FaultEvent>> {
     let mut per_switch: Vec<Vec<FaultEvent>> = vec![Vec::new(); switches];
     for ev in plan.events() {
@@ -724,52 +829,18 @@ pub fn run_shard_net_faulted(
 ) -> ShardFaultReport {
     cfg.validate();
     let k = cfg.switches;
-    let mut plans = split_plan(plan, k);
     let buckets = cfg.slots.div_ceil(FAULT_WINDOW).max(1) as usize;
-    let mut chunks: Vec<Vec<SwitchShard>> = Vec::new();
-    let chunk_len = k.div_ceil(CHUNKS.min(k));
-    let mut next = 0usize;
-    while next < k {
-        let end = (next + chunk_len).min(k);
-        chunks.push(
-            (next..end)
-                .map(|i| {
-                    let mut sw = SwitchShard::new(cfg, i);
-                    sw.plan = FaultPlan::from_events(std::mem::take(&mut plans[i]));
-                    sw.windows = vec![0u32; buckets];
-                    sw
-                })
-                .collect(),
-        );
-        next = end;
-    }
-    let locate = |i: usize| (i / chunk_len, i % chunk_len);
-
-    for slot in 0..cfg.slots {
-        // Phase A: independent per-switch faulted work.
-        chunks = pool.map(std::mem::take(&mut chunks), |_, mut chunk| {
-            for sw in &mut chunk {
-                sw.step_faulted(slot);
-            }
-            chunk
-        });
-        // Phase B: serial merge in switch-index order. A sender whose
-        // ring link is physically down loses the cell (defensive: the
-        // mask normally prevents the outbox from filling while down).
-        for i in 0..k {
-            let (c, o) = locate(i);
-            let Some(cell) = chunks[c][o].outbox.take() else {
-                continue;
-            };
-            if !chunks[c][o].link_up {
-                chunks[c][o].dropped += 1;
-                continue;
-            }
-            let (nc, no) = locate((i + 1) % k);
-            debug_assert!(chunks[nc][no].inbox.is_none());
-            chunks[nc][no].inbox = Some(cell);
-        }
-    }
+    let mut switches: Vec<SwitchShard> = split_plan(plan, k)
+        .into_iter()
+        .enumerate()
+        .map(|(i, events)| {
+            let mut sw = SwitchShard::new(cfg, i);
+            sw.plan = FaultPlan::from_events(events);
+            sw.windows = vec![0u32; buckets];
+            sw
+        })
+        .collect();
+    step_ring(&mut switches, cfg.slots, pool, SwitchShard::step_faulted);
 
     // Deterministic reduction in switch-index order.
     let mut injected = 0u64;
@@ -791,9 +862,7 @@ pub fn run_shard_net_faulted(
             *d = d.wrapping_mul(0x1_0000_0000_01b3);
         }
     };
-    for i in 0..k {
-        let (c, o) = locate(i);
-        let sw = &chunks[c][o];
+    for sw in &switches {
         injected += sw.injected;
         delivered += sw.delivered;
         in_flight += sw.in_flight();
@@ -868,15 +937,79 @@ mod tests {
         assert!(r.delay.max() >= 2, "ring transit takes at least two slots");
     }
 
+    /// The smallest ring: with 3 or 4 threads the pool has more workers
+    /// than switches, and each range is a single switch.
+    fn two_switch_ring() -> ShardNetConfig {
+        ShardNetConfig {
+            switches: 2,
+            span: 1,
+            host_load: 0.1,
+            ..small()
+        }
+    }
+
     #[test]
     fn thread_count_does_not_change_the_run() {
-        let a = run_shard_net(&small(), &Pool::serial());
-        let b = run_shard_net(&small(), &Pool::new(4));
-        let c = run_shard_net(&small(), &Pool::new(3));
-        assert_eq!(a.digest, b.digest);
-        assert_eq!(a.digest, c.digest);
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.to_string(), c.to_string());
+        for cfg in [small(), two_switch_ring()] {
+            let serial = run_shard_net(&cfg, &Pool::serial());
+            for threads in 2..=4 {
+                let r = run_shard_net(&cfg, &Pool::new(threads));
+                let label = format!("{} switches, {threads} threads", cfg.switches);
+                assert_eq!(serial.digest, r.digest, "{label}");
+                assert_eq!(serial.to_string(), r.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn every_run_length_matches_the_serial_run() {
+        // Whatever slot the run stops at, a cell still in a range-to-range
+        // handoff must be drained into its inbox and counted in flight.
+        let mut cfg = ShardNetConfig {
+            switches: 6,
+            radix: 4,
+            span: 2,
+            host_load: 0.15,
+            seed: 5,
+            slots: 0,
+        };
+        for slots in 0..=40 {
+            cfg.slots = slots;
+            let serial = run_shard_net(&cfg, &Pool::serial());
+            for threads in [2, 3] {
+                let r = run_shard_net(&cfg, &Pool::new(threads));
+                assert_eq!(
+                    serial.to_string(),
+                    r.to_string(),
+                    "{slots} slots, {threads} threads"
+                );
+            }
+        }
+    }
+
+    fn step_or_fail(sw: &mut SwitchShard, slot: u64) {
+        assert!(!(sw.k == 16 && slot == 7), "switch 16 failed in slot 7");
+        sw.step(slot);
+    }
+
+    #[test]
+    fn a_failing_switch_fails_the_run_instead_of_deadlocking() {
+        // Switch 16 opens a range at 2 and 4 threads, so its worker fails
+        // right after the barrier, often before a slower worker has
+        // checked for failures there; repeat to hit that interleaving.
+        let cfg = small();
+        for threads in [2, 3, 4] {
+            for _ in 0..20 {
+                let mut switches: Vec<SwitchShard> =
+                    (0..cfg.switches).map(|i| SwitchShard::new(&cfg, i)).collect();
+                let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                    step_ring(&mut switches, cfg.slots, &Pool::new(threads), step_or_fail);
+                }));
+                let payload = run.expect_err("a failing switch must fail the run");
+                let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(msg.contains("pool worker panicked"), "{threads} threads: {msg:?}");
+            }
+        }
     }
 
     #[test]
@@ -911,6 +1044,17 @@ mod tests {
     fn single_switch_ring_rejected() {
         let mut cfg = small();
         cfg.switches = 1;
+        run_shard_net(&cfg, &Pool::serial());
+    }
+
+    #[test]
+    #[should_panic(expected = "packed in 20 bits")]
+    fn ring_wider_than_the_packed_switch_field_rejected() {
+        let mut cfg = small();
+        cfg.switches = 1 << 20;
+        cfg.validate();
+        // One switch more and destinations would wrap to `dst mod 2^20`.
+        cfg.switches += 1;
         run_shard_net(&cfg, &Pool::serial());
     }
 
@@ -974,15 +1118,69 @@ mod tests {
 
     #[test]
     fn faulted_run_is_thread_count_independent() {
-        let cfg = small();
-        let plan = burst_plan();
-        let a = run_shard_net_faulted(&cfg, &plan, &Pool::serial());
-        let b = run_shard_net_faulted(&cfg, &plan, &Pool::new(4));
-        let c = run_shard_net_faulted(&cfg, &plan, &Pool::new(3));
-        assert_eq!(a.digest, b.digest);
-        assert_eq!(a.digest, c.digest);
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.to_string(), c.to_string());
+        let two_switch_plan = FaultPlan::from_events(vec![
+            FaultEvent {
+                slot: 30,
+                kind: FaultKind::LinkDown { switch: 1, output: 0 },
+            },
+            FaultEvent {
+                slot: 45,
+                kind: FaultKind::LinkUp { switch: 1, output: 0 },
+            },
+            FaultEvent {
+                slot: 60,
+                kind: FaultKind::CellDrop { switch: 0, input: 2 },
+            },
+        ]);
+        for (cfg, plan) in [(small(), burst_plan()), (two_switch_ring(), two_switch_plan)] {
+            let serial = run_shard_net_faulted(&cfg, &plan, &Pool::serial());
+            assert!(serial.faults_applied > 0);
+            for threads in 2..=4 {
+                let r = run_shard_net_faulted(&cfg, &plan, &Pool::new(threads));
+                let label = format!("{} switches, {threads} threads", cfg.switches);
+                assert_eq!(serial.digest, r.digest, "{label}");
+                assert_eq!(serial.to_string(), r.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn faults_at_range_boundaries_are_thread_count_independent() {
+        // 32 switches split into ranges 0..16 | 16..32 on 2 threads and
+        // 0..11 | 11..22 | 22..32 on 3. Take down the ring links that
+        // cross those boundaries (and the wrap-around link 31 -> 0), and
+        // drop cells arriving at the first switch of each range.
+        let mut cfg = small();
+        cfg.host_load = 0.05;
+        let mut events = Vec::new();
+        for (switch, down, up) in [(15, 40, 70), (10, 50, 62), (21, 55, 90), (31, 80, 95)] {
+            events.push(FaultEvent {
+                slot: down,
+                kind: FaultKind::LinkDown { switch, output: 0 },
+            });
+            events.push(FaultEvent {
+                slot: up,
+                kind: FaultKind::LinkUp { switch, output: 0 },
+            });
+        }
+        for switch in [0, 11, 16, 22] {
+            for slot in [100, 101, 150] {
+                events.push(FaultEvent {
+                    slot,
+                    kind: FaultKind::CellDrop { switch, input: 0 },
+                });
+            }
+        }
+        let plan = FaultPlan::from_events(events);
+        let serial = run_shard_net_faulted(&cfg, &plan, &Pool::serial());
+        assert_eq!(serial.recoveries, 4, "every boundary link recovers");
+        assert!(serial.dropped > 0, "the boundary faults must catch cells");
+        for threads in [2, 3] {
+            let r = run_shard_net_faulted(&cfg, &plan, &Pool::new(threads));
+            assert_eq!(serial.digest, r.digest, "{threads} threads");
+            assert_eq!(serial.windows, r.windows);
+            assert_eq!(serial.to_string(), r.to_string());
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! * [`Pool`] — a scoped-thread worker pool with per-worker deques and
 //!   work stealing. [`Pool::map`] runs one closure per item and returns
 //!   results in *item order*, so callers see the same `Vec` whatever the
-//!   worker count or completion order was.
+//!   worker count or completion order was. [`Pool::for_each_part`]
+//!   instead hands each worker one contiguous part of a mutable slice
+//!   for the whole call, so a simulation can step its parts in lockstep
+//!   without a thread fork-join per step.
 //! * [`task_seed`] — derives a task's RNG seed as a pure hash of
 //!   `(root_seed, task_key)`. Because no task's seed is "the next draw"
 //!   of a shared generator, adding, removing, or reordering tasks never
@@ -68,10 +71,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// work stealing.
 ///
 /// The pool is a *policy* object — it owns no threads between calls.
-/// Each [`map`](Pool::map) call spawns scoped workers, runs the batch,
-/// and joins them, so a `Pool` can be passed freely down a call tree
-/// (including from inside another pool's task, where the nested call
-/// simply runs with its own workers).
+/// Each [`map`](Pool::map) or [`for_each_part`](Pool::for_each_part)
+/// call spawns scoped workers, runs the batch, and joins them, so a
+/// `Pool` can be passed freely down a call tree (including from inside
+/// another pool's task, where the nested call simply runs with its own
+/// workers).
 ///
 /// # Examples
 ///
@@ -184,6 +188,69 @@ impl Pool {
             })
             // an2-lint: allow(alloc-in-hot-path) materializes the batch results once per map() call
             .collect()
+    }
+
+    /// Number of contiguous parts [`for_each_part`](Pool::for_each_part)
+    /// splits `len` items into: the worker count, capped at `len`, and at
+    /// least one.
+    pub fn parts(&self, len: usize) -> usize {
+        self.threads.min(len).max(1)
+    }
+
+    /// Splits `items` into [`parts`](Pool::parts) contiguous, in-order
+    /// parts and runs `f(part, slice)` once per part.
+    ///
+    /// Part sizes differ by at most one, the longer parts first: 32 items
+    /// on 3 workers split as 11, 11, 10. With more than one part every
+    /// part runs on its own scoped thread and the caller only spawns and
+    /// joins, so the parts may run in lockstep (for example around a
+    /// [`std::sync::Barrier`] of [`parts`](Pool::parts) parties) for as
+    /// long as `f` keeps going. With one part, `f` runs inline on the
+    /// caller.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use an2_task::Pool;
+    /// let mut xs: Vec<u32> = (0..10).collect();
+    /// Pool::new(3).for_each_part(&mut xs, |part, slice| {
+    ///     for x in slice {
+    ///         *x = *x * 10 + part as u32;
+    ///     }
+    /// });
+    /// assert_eq!(xs, [0, 10, 20, 30, 41, 51, 61, 72, 82, 92]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if any part panics (the first panic is propagated, as in
+    /// [`map`](Pool::map)).
+    pub fn for_each_part<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        let parts = self.parts(items.len());
+        if parts == 1 {
+            f(0, items);
+            return;
+        }
+        let (base, longer) = (items.len() / parts, items.len() % parts);
+        std::thread::scope(|scope| {
+            let f = &f;
+            let mut rest = items;
+            let handles: Vec<_> = (0..parts)
+                .map(|part| {
+                    let len = base + usize::from(part < longer);
+                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                    rest = tail;
+                    scope.spawn(move || f(part, mine))
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("pool worker panicked");
+            }
+        });
     }
 
     /// Runs a batch of heterogeneous boxed tasks; sugar over [`map`](Pool::map)
@@ -303,6 +370,88 @@ mod tests {
         let _ = Pool::new(2).map((0..8).collect::<Vec<u32>>(), |_, x| {
             assert!(x != 5, "boom");
             x
+        });
+    }
+
+    /// Runs `for_each_part` over `0..len` and returns, per part, its index,
+    /// the items it saw and whether it ran on the calling thread.
+    fn record_parts(threads: usize, len: usize) -> Vec<(usize, Vec<usize>, bool)> {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let mut items: Vec<usize> = (0..len).collect();
+        Pool::new(threads).for_each_part(&mut items, |part, slice| {
+            let inline = std::thread::current().id() == caller;
+            lock(&seen).push((part, slice.to_vec(), inline));
+        });
+        let mut seen = lock_owned(seen);
+        seen.sort();
+        seen
+    }
+
+    #[test]
+    fn parts_are_contiguous_balanced_and_cover_every_item_once() {
+        for threads in 1..=5 {
+            for len in 0..=23 {
+                let seen = record_parts(threads, len);
+                let parts = Pool::new(threads).parts(len);
+                assert_eq!(seen.len(), parts, "threads={threads} len={len}");
+                let flat: Vec<usize> = seen.iter().flat_map(|(_, s, _)| s.clone()).collect();
+                assert_eq!(flat, (0..len).collect::<Vec<_>>(), "threads={threads} len={len}");
+                let sizes: Vec<usize> = seen.iter().map(|(_, s, _)| s.len()).collect();
+                assert!(
+                    sizes.windows(2).all(|w| w[0] == w[1] || w[0] == w[1] + 1),
+                    "unbalanced split {sizes:?}"
+                );
+            }
+        }
+        let sizes: Vec<usize> = record_parts(3, 32).iter().map(|(_, s, _)| s.len()).collect();
+        assert_eq!(sizes, [11, 11, 10]);
+    }
+
+    #[test]
+    fn one_part_runs_on_the_caller_and_many_parts_do_not() {
+        let serial = record_parts(1, 8);
+        assert_eq!(serial.len(), 1);
+        assert!(serial[0].2, "a single part runs inline");
+        assert!(record_parts(4, 0)[0].2, "an empty slice is one inline part");
+        let parallel = record_parts(3, 8);
+        assert_eq!(parallel.len(), 3);
+        assert!(
+            parallel.iter().all(|(_, _, inline)| !inline),
+            "the caller only spawns and joins"
+        );
+    }
+
+    #[test]
+    fn more_threads_than_items_gives_one_item_per_part() {
+        let seen = record_parts(8, 3);
+        assert_eq!(Pool::new(8).parts(3), 3);
+        let parts: Vec<(usize, Vec<usize>)> = seen.into_iter().map(|(p, s, _)| (p, s)).collect();
+        assert_eq!(parts, [(0, vec![0]), (1, vec![1]), (2, vec![2])]);
+    }
+
+    #[test]
+    fn parts_can_run_in_lockstep_on_a_barrier() {
+        let pool = Pool::new(3);
+        let mut counts = vec![0u32; 7];
+        let barrier = std::sync::Barrier::new(pool.parts(counts.len()));
+        pool.for_each_part(&mut counts, |_, slice| {
+            for _ in 0..50 {
+                for c in slice.iter_mut() {
+                    *c += 1;
+                }
+                barrier.wait();
+            }
+        });
+        assert_eq!(counts, [50; 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool worker panicked")]
+    fn part_panic_propagates() {
+        let mut items: Vec<u32> = (0..8).collect();
+        Pool::new(2).for_each_part(&mut items, |_, slice| {
+            assert!(!slice.contains(&5), "boom");
         });
     }
 
