@@ -20,8 +20,9 @@ use an2_bench::{
     appendix_a, appendix_b, appendix_c, delay_curves, fairness_exp, faults, fig1, frames_demo,
     karol, latency95, perf, rng_ablation, stat_fairness, subframes, table1, table2, Effort,
 };
-use an2_sched::{AcceptPolicy, IterationLimit, Pim, RequestMatrix};
+use an2_sched::{AcceptPolicy, IterationLimit, RequestMatrix};
 use an2_task::{fnv1a, task_seed, Pool};
+use an2_verify::ReferencePim;
 
 const USAGE: &str = "usage: an2-repro <experiment> [--full] [--seed N] [--threads N] [--out DIR] [--verify-serial] [--check]
        an2-repro replay <replay.json>
@@ -717,6 +718,8 @@ fn render_one(name: &str, effort: Effort, seed: u64, pool: &Pool) -> String {
 
 /// Figure 2: trace one PIM scheduling decision on the paper's request
 /// pattern (also available as the `pim_trace` example with commentary).
+/// The trace comes from `ReferencePim`, which draws exactly as the
+/// production `Pim` does and records every phase.
 fn fig2_trace(seed: u64) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -725,8 +728,10 @@ fn fig2_trace(seed: u64) -> String {
         "# Figure 2: one PIM run on the paper's 4x4 pattern (1-based ports)"
     );
     let reqs = RequestMatrix::from_pairs(4, [(0, 1), (0, 3), (1, 1), (2, 1), (3, 3)]);
-    let mut pim = Pim::with_options(4, seed, IterationLimit::ToCompletion, AcceptPolicy::Random);
-    let (m, _) = pim.schedule_traced(&reqs, &mut |rec| {
+    let mut pim =
+        ReferencePim::with_options(4, seed, IterationLimit::ToCompletion, AcceptPolicy::Random);
+    let (m, trace) = pim.schedule_traced(&reqs);
+    for rec in &trace {
         let _ = writeln!(out, "iteration {}:", rec.iteration);
         for (j, reqs) in rec.requests.iter().enumerate() {
             if !reqs.is_empty() {
@@ -751,19 +756,14 @@ fn fig2_trace(seed: u64) -> String {
             }
         }
         for (i, j) in &rec.accepts {
-            let _ = writeln!(
-                out,
-                "  accept: input {} -> output {}",
-                i.index() + 1,
-                j.index() + 1
-            );
+            let _ = writeln!(out, "  accept: input {} -> output {}", i + 1, j + 1);
         }
         let _ = writeln!(
             out,
             "  unresolved requests remaining: {}",
             rec.unresolved_after
         );
-    });
+    }
     let pairs: Vec<String> = m
         .pairs()
         .map(|(i, j)| format!("{}->{}", i.index() + 1, j.index() + 1))

@@ -633,6 +633,91 @@ impl fmt::Display for ShardReport {
     }
 }
 
+/// Network-wide totals, reduced from the switches in index order so they
+/// are the same at any thread count. Both runners report from one.
+struct Totals {
+    injected: u64,
+    delivered: u64,
+    in_flight: u64,
+    dropped: u64,
+    faults_applied: u64,
+    res_attempts: u64,
+    res_failures: u64,
+    recoveries: u64,
+    recovery_slots: u64,
+    mean_delay: f64,
+    delay: QuantileSketch,
+    /// Delivered cells per [`FAULT_WINDOW`] bucket; empty for fault-free
+    /// runs, whose switches keep no windows.
+    windows: Vec<u64>,
+    /// FNV-1a over each switch's `(injected, delivered, in_flight)`.
+    digest: u64,
+    /// FNV-1a over each switch's `(injected, delivered, in_flight,
+    /// dropped)`: the faulted run's digest.
+    fault_digest: u64,
+}
+
+impl Totals {
+    fn of(switches: &[SwitchShard]) -> Self {
+        let buckets = switches.first().map_or(0, |sw| sw.windows.len());
+        let mut t = Totals {
+            injected: 0,
+            delivered: 0,
+            in_flight: 0,
+            dropped: 0,
+            faults_applied: 0,
+            res_attempts: 0,
+            res_failures: 0,
+            recoveries: 0,
+            recovery_slots: 0,
+            mean_delay: 0.0,
+            delay: QuantileSketch::new(),
+            windows: vec![0; buckets],
+            digest: DIGEST_OFFSET,
+            fault_digest: DIGEST_OFFSET,
+        };
+        let mut delay_sum = 0u128;
+        for sw in switches {
+            t.injected += sw.injected;
+            t.delivered += sw.delivered;
+            t.in_flight += sw.in_flight();
+            t.dropped += sw.dropped;
+            t.faults_applied += sw.applied;
+            t.res_attempts += sw.res_attempts;
+            t.res_failures += sw.res_failures;
+            t.recoveries += sw.recoveries;
+            t.recovery_slots += sw.recovery_slots;
+            delay_sum += sw.delay_sum;
+            t.delay.merge(&sw.sketch);
+            for (w, &v) in t.windows.iter_mut().zip(&sw.windows) {
+                *w += u64::from(v);
+            }
+            for v in [sw.injected, sw.delivered, sw.in_flight()] {
+                digest_fold(&mut t.digest, v);
+                digest_fold(&mut t.fault_digest, v);
+            }
+            digest_fold(&mut t.fault_digest, sw.dropped);
+        }
+        if t.delivered > 0 {
+            t.mean_delay = delay_sum as f64 / t.delivered as f64;
+        }
+        t
+    }
+}
+
+const DIGEST_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `v`'s little-endian bytes into a report digest: FNV-1a's offset
+/// and shape, but with multiplier `2^48 + 0x1b3` rather than FNV's
+/// `2^40 + 0x1b3` (so not `an2_task::fnv1a`), which the pinned ring
+/// digests depend on.
+fn digest_fold(digest: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *digest ^= u64::from(b);
+        *digest = digest.wrapping_mul(0x1_0000_0000_01b3);
+    }
+}
+
 /// Runs the configured ring network on `pool` and returns the merged
 /// report.
 ///
@@ -645,43 +730,16 @@ pub fn run_shard_net(cfg: &ShardNetConfig, pool: &Pool) -> ShardReport {
     let k = cfg.switches;
     let mut switches: Vec<SwitchShard> = (0..k).map(|i| SwitchShard::new(cfg, i)).collect();
     step_ring(&mut switches, cfg.slots, pool, SwitchShard::step);
-
-    // Deterministic reduction in switch-index order.
-    let mut injected = 0u64;
-    let mut delivered = 0u64;
-    let mut in_flight = 0u64;
-    let mut delay_sum = 0u128;
-    let mut delay = QuantileSketch::new();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let fold = |d: &mut u64, v: u64| {
-        for b in v.to_le_bytes() {
-            *d ^= b as u64;
-            *d = d.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    };
-    for sw in &switches {
-        injected += sw.injected;
-        delivered += sw.delivered;
-        in_flight += sw.in_flight();
-        delay_sum += sw.delay_sum;
-        delay.merge(&sw.sketch);
-        fold(&mut digest, sw.injected);
-        fold(&mut digest, sw.delivered);
-        fold(&mut digest, sw.in_flight());
-    }
+    let t = Totals::of(&switches);
     let report = ShardReport {
         slots: cfg.slots,
         switches: k,
-        injected,
-        delivered,
-        in_flight,
-        mean_delay: if delivered == 0 {
-            0.0
-        } else {
-            delay_sum as f64 / delivered as f64
-        },
-        delay,
-        digest,
+        injected: t.injected,
+        delivered: t.delivered,
+        in_flight: t.in_flight,
+        mean_delay: t.mean_delay,
+        delay: t.delay,
+        digest: t.digest,
     };
     assert!(
         report.is_conserved(),
@@ -841,67 +899,23 @@ pub fn run_shard_net_faulted(
         })
         .collect();
     step_ring(&mut switches, cfg.slots, pool, SwitchShard::step_faulted);
-
-    // Deterministic reduction in switch-index order.
-    let mut injected = 0u64;
-    let mut delivered = 0u64;
-    let mut in_flight = 0u64;
-    let mut dropped = 0u64;
-    let mut faults_applied = 0u64;
-    let mut res_attempts = 0u64;
-    let mut res_failures = 0u64;
-    let mut recoveries = 0u64;
-    let mut recovery_slots = 0u64;
-    let mut delay_sum = 0u128;
-    let mut delay = QuantileSketch::new();
-    let mut windows = vec![0u64; buckets];
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let fold = |d: &mut u64, v: u64| {
-        for b in v.to_le_bytes() {
-            *d ^= b as u64;
-            *d = d.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    };
-    for sw in &switches {
-        injected += sw.injected;
-        delivered += sw.delivered;
-        in_flight += sw.in_flight();
-        dropped += sw.dropped;
-        faults_applied += sw.applied;
-        res_attempts += sw.res_attempts;
-        res_failures += sw.res_failures;
-        recoveries += sw.recoveries;
-        recovery_slots += sw.recovery_slots;
-        delay_sum += sw.delay_sum;
-        delay.merge(&sw.sketch);
-        for (w, &v) in windows.iter_mut().zip(sw.windows.iter()) {
-            *w += v as u64;
-        }
-        fold(&mut digest, sw.injected);
-        fold(&mut digest, sw.delivered);
-        fold(&mut digest, sw.in_flight());
-        fold(&mut digest, sw.dropped);
-    }
+    let t = Totals::of(&switches);
     let report = ShardFaultReport {
         slots: cfg.slots,
         switches: k,
-        injected,
-        delivered,
-        in_flight,
-        dropped,
-        faults_applied,
-        res_attempts,
-        res_failures,
-        recoveries,
-        recovery_slots,
-        mean_delay: if delivered == 0 {
-            0.0
-        } else {
-            delay_sum as f64 / delivered as f64
-        },
-        delay,
-        windows,
-        digest,
+        injected: t.injected,
+        delivered: t.delivered,
+        in_flight: t.in_flight,
+        dropped: t.dropped,
+        faults_applied: t.faults_applied,
+        res_attempts: t.res_attempts,
+        res_failures: t.res_failures,
+        recoveries: t.recoveries,
+        recovery_slots: t.recovery_slots,
+        mean_delay: t.mean_delay,
+        delay: t.delay,
+        windows: t.windows,
+        digest: t.fault_digest,
     };
     assert!(
         report.is_conserved(),

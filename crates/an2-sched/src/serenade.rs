@@ -14,12 +14,9 @@
 //! resolution, queue weights via the [`Scheduler::observe_queue`] hook —
 //! while replacing the paper's distributed knowledge-discovery walk with
 //! a centralized component scan (the repo simulates the switch, it does
-//! not distribute it). The parallel structure is still real: components
-//! are independent by construction, so [`SerenadeN::schedule_staged`]
-//! fans the per-component weighing over an `an2-task` pool and is
-//! bit-identical to the serial [`Scheduler::schedule`] at any worker
-//! count (`Pool::map` returns results in item order and the weighing is
-//! a pure function of the proposals).
+//! not distribute it). Components are independent by construction, so
+//! each one's heavier side is a pure function of the two proposals and
+//! the Q-matrix restricted to its members.
 //!
 //! Randomness follows the house discipline (see `ReferencePim` in
 //! an2-verify): per-input split streams (`root.split(i)` for proposal A,
@@ -33,7 +30,6 @@ use crate::port::{InputPort, OutputPort, PortSetN};
 use crate::requests::RequestMatrixN;
 use crate::rng::{SelectRng, Xoshiro256};
 use crate::scheduler::{PortMaskN, Scheduler};
-use an2_task::Pool;
 
 const NIL: u32 = u32::MAX;
 
@@ -150,30 +146,8 @@ impl<const W: usize> SerenadeN<W> {
             }
         }
         self.find_components();
-        let merged = self.resolve_components(None);
+        let merged = self.resolve_components();
         (a, b, merged)
-    }
-
-    /// The staged parallel variant: the per-component weighing fans out
-    /// over `pool`, and the result is bit-identical to the serial
-    /// [`Scheduler::schedule`] at any worker count.
-    pub fn schedule_staged(&mut self, requests: &RequestMatrixN<W>, pool: &Pool) -> MatchingN<W> {
-        let (active_inputs, active_outputs) = self.active_sets(requests);
-        self.propose(requests, &active_inputs, &active_outputs);
-        self.find_components();
-        // Stage: one task per ouroboros component, each deciding which
-        // sub-matching is heavier. Pure reads over the proposals and the
-        // Q-matrix; `Pool::map` slots results by item index, so the
-        // decision vector is independent of worker count and stealing.
-        let ranges: Vec<(u32, u32)> = self.scratch.comp_ranges.clone();
-        let scr = &self.scratch;
-        let q = &self.q;
-        let decisions = pool.map(ranges, |_, (start, end)| {
-            let members = &scr.comp_arena[start as usize..end as usize];
-            let (wa, wb) = component_weights(q, &scr.a_out, &scr.b_out, members);
-            wa >= wb
-        });
-        self.resolve_components(Some(&decisions))
     }
 
     // an2-lint: allow(panic-freedom) pair indices come from the admitted sparse active list, all < n
@@ -274,23 +248,14 @@ impl<const W: usize> SerenadeN<W> {
     }
 
     /// Keeps the heavier sub-matching of each component (ties favour A).
-    /// `decisions`, when given, must hold one pre-computed keep-A flag per
-    /// component in `comp_ranges` order; otherwise each component is
-    /// weighed inline (the serial path).
-    // an2-lint: allow(panic-freedom) component-indexed arrays are sized by the component count <= n
-    fn resolve_components(&self, decisions: Option<&[bool]>) -> MatchingN<W> {
+    // an2-lint: allow(panic-freedom) component ranges index the arena they were cut from; members are inputs < n
+    fn resolve_components(&self) -> MatchingN<W> {
         let scr = &self.scratch;
         let mut m = MatchingN::new(self.n);
-        for (c, &(start, end)) in scr.comp_ranges.iter().enumerate() {
+        for &(start, end) in &scr.comp_ranges {
             let members = &scr.comp_arena[start as usize..end as usize];
-            let keep_a = match decisions {
-                Some(d) => d[c],
-                None => {
-                    let (wa, wb) = component_weights(&self.q, &scr.a_out, &scr.b_out, members);
-                    wa >= wb
-                }
-            };
-            let chosen = if keep_a { &scr.a_out } else { &scr.b_out };
+            let (wa, wb) = component_weights(&self.q, &scr.a_out, &scr.b_out, members);
+            let chosen = if wa >= wb { &scr.a_out } else { &scr.b_out };
             for &iu in members {
                 let j = chosen[iu as usize];
                 if j != NIL {
@@ -303,8 +268,7 @@ impl<const W: usize> SerenadeN<W> {
     }
 }
 
-/// The Q-matrix weight of each proposal restricted to `members`. A pure
-/// function of its arguments — the property the staged path relies on.
+/// The Q-matrix weight of each proposal restricted to `members`.
 // an2-lint: hot
 // an2-lint: allow(overflow-discipline) weights sum u64 queue occupancies, bounded by total queued cells
 // an2-lint: allow(panic-freedom) weight slots are indexed by component id < n
@@ -328,7 +292,7 @@ impl<const W: usize> Scheduler<W> for SerenadeN<W> {
         let (active_inputs, active_outputs) = self.active_sets(requests);
         self.propose(requests, &active_inputs, &active_outputs);
         self.find_components();
-        self.resolve_components(None)
+        self.resolve_components()
     }
 
     fn name(&self) -> &'static str {
@@ -396,30 +360,6 @@ mod tests {
                 wm >= wa.max(wb),
                 "trial {trial}: merged {wm} < max({wa}, {wb})"
             );
-        }
-    }
-
-    #[test]
-    fn staged_equals_serial_at_any_thread_count() {
-        let mut rng = Xoshiro256::seed_from(0x57A6);
-        for threads in [1usize, 2, 4] {
-            let pool = Pool::new(threads);
-            let mut serial = Serenade::new(16, 99);
-            let mut staged = Serenade::new(16, 99);
-            for slot in 0..50u64 {
-                let density = [0.1, 0.5, 0.9, 1.0, 0.0][(slot as usize) % 5];
-                let reqs = RequestMatrix::random(16, density, &mut rng);
-                for (i, j) in reqs.pairs() {
-                    let w = 1 + ((i.index() * 31 + j.index() * 7 + slot as usize) % 13) as u32;
-                    serial.observe_queue(i, j, w, 0);
-                    staged.observe_queue(i, j, w, 0);
-                }
-                assert_eq!(
-                    serial.schedule(&reqs),
-                    staged.schedule_staged(&reqs, &pool),
-                    "threads {threads} slot {slot}"
-                );
-            }
         }
     }
 

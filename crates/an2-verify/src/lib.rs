@@ -8,10 +8,12 @@
 //! against exact naive references and closed-form queueing formulas.
 //!
 //! * [`oracle`] — **differential oracles**: a [`ReferencePim`] over plain
-//!   `Vec<Vec<bool>>` matrices that replicates the optimised scheduler's
-//!   draw discipline bit-for-bit, a Kuhn maximum-matching reference for
-//!   Hopcroft–Karp, the full-sweep [`ReferenceMwm`] that the production
-//!   MWM solver must match pair for pair, a brute-force frame-schedule
+//!   `Vec`s that replicates the optimised scheduler's draw discipline
+//!   bit-for-bit (port masks and the wide-width grant rule included) and
+//!   records per-iteration traces, a [`ReferenceRoundRobin`] for iSLIP
+//!   and RRM, a Kuhn maximum-matching reference for Hopcroft–Karp, the
+//!   full-sweep [`ReferenceMwm`] that the production MWM solver must
+//!   match pair for pair, a brute-force frame-schedule
 //!   feasibility search for the Slepian–Duguid construction, and
 //!   confidence-bound helpers for the analytic M/D/1 and Karol
 //!   cross-checks.
@@ -41,6 +43,6 @@ pub mod oracle;
 pub mod replay;
 pub mod runner;
 
-pub use oracle::{ReferenceMwm, ReferencePim};
+pub use oracle::{PimIteration, ReferenceMwm, ReferencePim, ReferenceRoundRobin};
 pub use replay::{shrink, ReplayCase};
 pub use runner::{run_case, RunOutcome};

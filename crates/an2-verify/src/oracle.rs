@@ -6,43 +6,78 @@
 //! differential test runs the optimised implementation and its oracle on
 //! the same instances and fails on the first divergence.
 
+use an2_sched::islip::PointerUpdate;
 use an2_sched::pim::{AcceptPolicy, IterationLimit};
 use an2_sched::rng::{SelectRng, Xoshiro256};
 use an2_sched::{
-    InputPort, MatchingN, OutputPort, PortSetN, RequestMatrix, RequestMatrixN, WeightPolicy,
+    InputPort, MatchingN, OutputPort, PortMaskN, PortSetN, RequestMatrix, RequestMatrixN,
+    WeightPolicy,
 };
 
-/// Textbook PIM over `Vec<Vec<bool>>` request matrices.
+/// Textbook PIM over plain `Vec`s.
 ///
-/// Replicates `an2_sched::Pim`'s randomness *exactly*: the same per-port
-/// streams (`root.split(j)` for output grants, `root.split(0x1_0000 + i)`
-/// for input accepts), the same draw discipline (an empty candidate set
-/// draws nothing; a non-empty one draws one bounded index and picks the
-/// index-th smallest member), the same phase order and early exit. Given
-/// the same seed and request sequence, the reference and the optimised
-/// scheduler must therefore produce **identical matchings, slot after
-/// slot** — any divergence convicts one of them.
+/// Replicates `an2_sched::PimN<Xoshiro256, W>`'s randomness *exactly*: the
+/// same per-port streams (`root.split(j)` for output grants,
+/// `root.split(0x1_0000 + i)` for input accepts), the same draw
+/// discipline (an empty candidate set draws nothing; a non-empty one
+/// draws one bounded index and picks the index-th smallest member), the
+/// same phase order and early exit. Wide widths (capacity above 256
+/// ports, read from `W` exactly as `PimN` reads it) grant by rejection
+/// sampling when the candidates cover at least half the switch, as the
+/// production `grant_draw_with` does. Given the same seed, mask and
+/// request sequence, the reference and the optimised scheduler must
+/// therefore produce **identical matchings, slot after slot** — any
+/// divergence convicts one of them.
+///
+/// The request matrix is read only through `RequestMatrixN::has`; every
+/// phase works on `Vec<bool>` rows and `Vec<usize>` candidate lists.
 #[derive(Clone, Debug)]
-pub struct ReferencePim {
+pub struct ReferencePim<const W: usize = 4> {
     n: usize,
     limit: IterationLimit,
     accept: AcceptPolicy,
     output_rng: Vec<Xoshiro256>,
     input_rng: Vec<Xoshiro256>,
     accept_ptr: Vec<usize>,
+    /// `healthy_in[i]`: input `i` may request and accept.
+    healthy_in: Vec<bool>,
+    /// `healthy_out[j]`: output `j` may listen and grant.
+    healthy_out: Vec<bool>,
 }
 
-impl ReferencePim {
-    /// Mirrors `Pim::new`: four iterations, random accept.
+/// One PIM iteration as [`ReferencePim::schedule_traced`] records it
+/// (0-based ports).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PimIteration {
+    /// 1-based iteration number.
+    pub iteration: usize,
+    /// `requests[j]`: the inputs that requested output `j` this iteration,
+    /// ascending. Only unmatched healthy inputs request, and only
+    /// unmatched healthy outputs listen; every other entry is empty.
+    pub requests: Vec<Vec<usize>>,
+    /// `grants[i]`: the outputs that granted to input `i`, ascending.
+    pub grants: Vec<Vec<usize>>,
+    /// Pairs `(input, output)` accepted this iteration, by input.
+    pub accepts: Vec<(usize, usize)>,
+    /// Requests with both endpoints still unmatched after this iteration.
+    pub unresolved_after: usize,
+}
+
+/// Rejection-sampling attempts per wide grant draw before the exact draw
+/// (`GRANT_REJECT_CAP` in `an2_sched::pim`).
+const GRANT_REJECT_CAP: usize = 8;
+
+impl<const W: usize> ReferencePim<W> {
+    /// Mirrors `PimN::new`: four iterations, random accept.
     pub fn new(n: usize, seed: u64) -> Self {
         Self::with_options(n, seed, IterationLimit::Fixed(4), AcceptPolicy::Random)
     }
 
-    /// Mirrors `Pim::with_options`.
+    /// Mirrors `PimN::with_options`.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n` exceeds the width's capacity.
     pub fn with_options(
         n: usize,
         seed: u64,
@@ -50,6 +85,7 @@ impl ReferencePim {
         accept: AcceptPolicy,
     ) -> Self {
         assert!(n > 0, "switch must have at least one port");
+        assert!(n <= PortSetN::<W>::CAPACITY, "switch size {n} out of range");
         let root = Xoshiro256::seed_from(seed);
         Self {
             n,
@@ -58,6 +94,8 @@ impl ReferencePim {
             output_rng: (0..n).map(|j| root.split(j as u64)).collect(),
             input_rng: (0..n).map(|i| root.split(0x1_0000 + i as u64)).collect(),
             accept_ptr: vec![0; n],
+            healthy_in: vec![true; n],
+            healthy_out: vec![true; n],
         }
     }
 
@@ -66,88 +104,284 @@ impl ReferencePim {
         self.n
     }
 
-    /// Schedules one slot; `out[i]` is the output matched to input `i`.
+    /// Replaces the healthy-port mask, as `Scheduler::set_port_mask` does:
+    /// a failed input never requests or accepts, a failed output never
+    /// listens, grants or draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask is not `n` ports wide.
+    pub fn set_port_mask(&mut self, mask: PortMaskN<W>) {
+        assert_eq!(mask.n(), self.n, "mask size does not match the switch");
+        self.healthy_in = (0..self.n)
+            .map(|i| mask.active_inputs().contains(i))
+            .collect();
+        self.healthy_out = (0..self.n)
+            .map(|j| mask.active_outputs().contains(j))
+            .collect();
+    }
+
+    /// Schedules one slot.
     ///
     /// # Panics
     ///
     /// Panics if `requests` is not `n`×`n`.
-    pub fn schedule(&mut self, requests: &[Vec<bool>]) -> Vec<Option<usize>> {
+    pub fn schedule(&mut self, requests: &RequestMatrixN<W>) -> MatchingN<W> {
+        self.schedule_traced(requests).0
+    }
+
+    /// Schedules one slot and returns every iteration's request, grant and
+    /// accept sets beside the matching. An iteration in which no output
+    /// has an eligible requester ends the slot unrecorded, so the trace
+    /// holds exactly the iterations that issued a grant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` is not `n`×`n`.
+    pub fn schedule_traced(
+        &mut self,
+        requests: &RequestMatrixN<W>,
+    ) -> (MatchingN<W>, Vec<PimIteration>) {
         let n = self.n;
-        assert_eq!(requests.len(), n, "request matrix must be n x n");
-        for row in requests {
-            assert_eq!(row.len(), n, "request matrix must be n x n");
-        }
+        assert_eq!(requests.n(), n, "request matrix must be n x n");
+        let req: Vec<Vec<bool>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| requests.has(InputPort::new(i), OutputPort::new(j)))
+                    .collect()
+            })
+            .collect();
         let mut out_of: Vec<Option<usize>> = vec![None; n];
         let mut in_of: Vec<Option<usize>> = vec![None; n];
         let max_iters = match self.limit {
             IterationLimit::Fixed(k) => k,
             IterationLimit::ToCompletion => n,
         };
-        for _ in 0..max_iters {
-            // Request phase: unmatched inputs with a cell for unmatched j,
-            // in ascending input order (the order `PortSet` iterates).
+        let mut trace = Vec::new();
+        for iteration in 1..=max_iters {
+            // Request phase: unmatched healthy inputs with a cell for
+            // unmatched healthy j, in ascending input order.
             let mut requests_to: Vec<Vec<usize>> = vec![Vec::new(); n];
-            let mut any_request = false;
             for (j, to) in requests_to.iter_mut().enumerate() {
-                if in_of[j].is_some() {
+                if !self.healthy_out[j] || in_of[j].is_some() {
                     continue;
                 }
-                for (i, row) in requests.iter().enumerate() {
-                    if out_of[i].is_none() && row[j] {
+                for (i, row) in req.iter().enumerate() {
+                    if self.healthy_in[i] && out_of[i].is_none() && row[j] {
                         to.push(i);
                     }
                 }
-                any_request |= !to.is_empty();
             }
-            if any_request {
-                // matches the optimised early exit before any draw
-            } else {
+            // No request anywhere: stop before any output draws.
+            if requests_to.iter().all(Vec::is_empty) {
                 break;
             }
 
-            // Grant phase: each output with requests draws once.
-            let mut grants_to: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for j in 0..n {
-                if in_of[j].is_some() {
-                    continue;
+            // Grant phase: each output with requests draws once, in
+            // ascending output order.
+            let mut grants: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for (j, cands) in requests_to.iter().enumerate() {
+                if !cands.is_empty() {
+                    let i = Self::grant(&mut self.output_rng[j], cands, n);
+                    grants[i].push(j);
                 }
-                let cands = &requests_to[j];
-                if cands.is_empty() {
-                    continue;
-                }
-                let i = cands[self.output_rng[j].index(cands.len())];
-                grants_to[i].push(j);
             }
 
-            // Accept phase: each granted input picks one grant. `grants`
-            // is ascending because the grant loop ran in ascending j.
-            for i in 0..n {
-                if out_of[i].is_some() {
-                    continue;
-                }
-                let grants = &grants_to[i];
-                if grants.is_empty() {
+            // Accept phase: each granted input picks one grant, in
+            // ascending input order. `grants[i]` is ascending because the
+            // grant loop ran in ascending j.
+            let mut accepts = Vec::new();
+            for (i, mine) in grants.iter().enumerate() {
+                if mine.is_empty() {
                     continue;
                 }
                 let j = match self.accept {
-                    AcceptPolicy::Random => grants[self.input_rng[i].index(grants.len())],
+                    AcceptPolicy::Random => mine[self.input_rng[i].index(mine.len())],
                     AcceptPolicy::RoundRobin => {
                         let ptr = self.accept_ptr[i];
-                        let j = grants
-                            .iter()
-                            .copied()
-                            .find(|&g| g >= ptr)
-                            .unwrap_or(grants[0]);
+                        let j = mine.iter().copied().find(|&g| g >= ptr).unwrap_or(mine[0]);
                         self.accept_ptr[i] = (j + 1) % n;
                         j
                     }
-                    AcceptPolicy::LowestIndex => grants[0],
+                    AcceptPolicy::LowestIndex => mine[0],
                 };
                 out_of[i] = Some(j);
                 in_of[j] = Some(i);
+                accepts.push((i, j));
+            }
+
+            let unresolved_after = (0..n)
+                .filter(|&i| out_of[i].is_none())
+                .map(|i| (0..n).filter(|&j| in_of[j].is_none() && req[i][j]).count())
+                .sum();
+            trace.push(PimIteration {
+                iteration,
+                requests: requests_to,
+                grants,
+                accepts,
+                unresolved_after,
+            });
+        }
+
+        let mut m = MatchingN::new(n);
+        for (i, j) in out_of.iter().enumerate() {
+            if let Some(j) = *j {
+                m.pair(InputPort::new(i), OutputPort::new(j))
+                    .expect("reference PIM produced a conflicting matching");
             }
         }
-        out_of
+        (m, trace)
+    }
+
+    /// One output's grant: a uniform member of the ascending candidate
+    /// list `cands`. Narrow widths draw one bounded index. Wide widths
+    /// first try up to [`GRANT_REJECT_CAP`] uniform ports of the whole
+    /// switch when the candidates cover at least half of it, keeping the
+    /// first that is a candidate, and fall back to the bounded index.
+    fn grant(rng: &mut Xoshiro256, cands: &[usize], n: usize) -> usize {
+        if PortSetN::<W>::CAPACITY > 256 && cands.len() * 2 >= n {
+            for _ in 0..GRANT_REJECT_CAP {
+                let p = rng.index(n);
+                if cands.contains(&p) {
+                    return p;
+                }
+            }
+        }
+        cands[rng.index(cands.len())]
+    }
+}
+
+/// Textbook round-robin matching (RRM and iSLIP) over plain `Vec`s: the
+/// reference for `an2_sched::islip::RoundRobinMatchingN`.
+///
+/// Each unmatched healthy output grants the requesting unmatched healthy
+/// input nearest at or after its grant pointer; each granted input
+/// accepts the granting output nearest at or after its accept pointer.
+/// Pointers move one past the chosen port, only in the first iteration:
+/// RRM moves a grant pointer on every grant and an accept pointer on
+/// every accept; iSLIP moves both only for accepted grants. Given the
+/// same mask and request sequence, the reference and the optimised
+/// scheduler must produce identical matchings slot after slot, which a
+/// multi-slot run cannot do unless their pointers agree too.
+#[derive(Clone, Debug)]
+pub struct ReferenceRoundRobin {
+    n: usize,
+    iterations: usize,
+    update: PointerUpdate,
+    grant_ptr: Vec<usize>,
+    accept_ptr: Vec<usize>,
+    healthy_in: Vec<bool>,
+    healthy_out: Vec<bool>,
+}
+
+impl ReferenceRoundRobin {
+    /// Mirrors `RoundRobinMatchingN::islip`.
+    pub fn islip(n: usize, iterations: usize) -> Self {
+        Self::with_update(n, iterations, PointerUpdate::OnAcceptFirstIteration)
+    }
+
+    /// Mirrors `RoundRobinMatchingN::rrm`.
+    pub fn rrm(n: usize, iterations: usize) -> Self {
+        Self::with_update(n, iterations, PointerUpdate::Always)
+    }
+
+    /// Mirrors `RoundRobinMatchingN::with_update`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `iterations == 0`.
+    pub fn with_update(n: usize, iterations: usize, update: PointerUpdate) -> Self {
+        assert!(n > 0, "switch must have at least one port");
+        assert!(iterations > 0, "iteration count must be at least 1");
+        Self {
+            n,
+            iterations,
+            update,
+            grant_ptr: vec![0; n],
+            accept_ptr: vec![0; n],
+            healthy_in: vec![true; n],
+            healthy_out: vec![true; n],
+        }
+    }
+
+    /// Replaces the healthy-port mask, as `Scheduler::set_port_mask` does:
+    /// a failed port never requests, grants, accepts or moves a pointer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask is not `n` ports wide.
+    pub fn set_port_mask<const W: usize>(&mut self, mask: PortMaskN<W>) {
+        assert_eq!(mask.n(), self.n, "mask size does not match the switch");
+        self.healthy_in = (0..self.n)
+            .map(|i| mask.active_inputs().contains(i))
+            .collect();
+        self.healthy_out = (0..self.n)
+            .map(|j| mask.active_outputs().contains(j))
+            .collect();
+    }
+
+    /// Schedules one slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` is not `n`×`n`.
+    pub fn schedule<const W: usize>(&mut self, requests: &RequestMatrixN<W>) -> MatchingN<W> {
+        let n = self.n;
+        assert_eq!(requests.n(), n, "request matrix must be n x n");
+        let req = |i: usize, j: usize| requests.has(InputPort::new(i), OutputPort::new(j));
+        let mut out_of: Vec<Option<usize>> = vec![None; n];
+        let mut in_of: Vec<Option<usize>> = vec![None; n];
+        for iteration in 1..=self.iterations {
+            // Grant phase, ascending outputs: scan the inputs from the
+            // pointer, wrapping, for the first eligible requester.
+            let mut grants: Vec<Vec<usize>> = vec![Vec::new(); n];
+            let mut any = false;
+            for (j, holder) in in_of.iter().enumerate() {
+                if !self.healthy_out[j] || holder.is_some() {
+                    continue;
+                }
+                let Some(i) = (0..n)
+                    .map(|k| (self.grant_ptr[j] + k) % n)
+                    .find(|&i| self.healthy_in[i] && out_of[i].is_none() && req(i, j))
+                else {
+                    continue;
+                };
+                any = true;
+                grants[i].push(j);
+                if self.update == PointerUpdate::Always && iteration == 1 {
+                    self.grant_ptr[j] = (i + 1) % n;
+                }
+            }
+            if !any {
+                break;
+            }
+
+            // Accept phase, ascending inputs; `grants[i]` is ascending.
+            for (i, mine) in grants.iter().enumerate() {
+                if mine.is_empty() {
+                    continue;
+                }
+                let ptr = self.accept_ptr[i];
+                let j = mine.iter().copied().find(|&g| g >= ptr).unwrap_or(mine[0]);
+                out_of[i] = Some(j);
+                in_of[j] = Some(i);
+                if iteration == 1 {
+                    self.accept_ptr[i] = (j + 1) % n;
+                    if self.update == PointerUpdate::OnAcceptFirstIteration {
+                        self.grant_ptr[j] = (i + 1) % n;
+                    }
+                }
+            }
+        }
+
+        let mut m = MatchingN::new(n);
+        for (i, j) in out_of.iter().enumerate() {
+            if let Some(j) = *j {
+                m.pair(InputPort::new(i), OutputPort::new(j))
+                    .expect("reference round-robin produced a conflicting matching");
+            }
+        }
+        m
     }
 }
 
@@ -517,6 +751,30 @@ mod tests {
         // A star: all inputs want output 0 only.
         let star = RequestMatrix::from_fn(4, |_, j| j == 0);
         assert_eq!(kuhn_maximum_matching_size(&star), 1);
+    }
+
+    #[test]
+    fn trace_records_are_consistent() {
+        // Figure 2's pattern: output 1 has requesters {0, 1, 2}.
+        let reqs = RequestMatrix::from_pairs(4, [(0, 1), (0, 3), (1, 1), (2, 1), (3, 3)]);
+        let mut pim =
+            ReferencePim::with_options(4, 1, IterationLimit::ToCompletion, AcceptPolicy::Random);
+        let (m, trace) = pim.schedule_traced(&reqs);
+        assert!(m.is_maximal(&reqs));
+        assert_eq!(trace.last().map(|r| r.unresolved_after), Some(0));
+        // Accepted pairs across all iterations reconstruct the matching.
+        let total_accepts: usize = trace.iter().map(|r| r.accepts.len()).sum();
+        assert_eq!(total_accepts, m.len());
+        assert_eq!(trace[0].requests[1], vec![0, 1, 2]);
+        // Grants point only at requesters.
+        for (k, r) in trace.iter().enumerate() {
+            assert_eq!(r.iteration, k + 1);
+            for (i, grants) in r.grants.iter().enumerate() {
+                for &j in grants {
+                    assert!(r.requests[j].contains(&i));
+                }
+            }
+        }
     }
 
     #[test]

@@ -142,7 +142,8 @@ impl ReplayCase {
     /// order; the annotation keys may be absent).
     pub fn from_json(json: &str) -> Result<Self, String> {
         let case = Self {
-            version: u64_field(json, "version")? as u32,
+            version: u32::try_from(u64_field(json, "version")?)
+                .map_err(|_| "replay.json: \"version\" out of range".to_string())?,
             n: u64_field(json, "n")? as usize,
             active_ports: u64_field(json, "active_ports")? as usize,
             seed: u64_field(json, "seed")?,
@@ -330,6 +331,17 @@ mod tests {
         let case = ReplayCase::new(4, 9, 1.0, 64);
         let parsed = ReplayCase::from_json(&case.to_json()).expect("round trip");
         assert_eq!(parsed, case);
+    }
+
+    #[test]
+    fn parse_rejects_a_version_that_only_truncates_to_1() {
+        let json = ReplayCase::new(4, 9, 1.0, 64).to_json();
+        assert!(json.contains("\"version\": 1,"));
+        // 2^32 + 1 wraps to 1 in a u32.
+        let hostile = json.replace("\"version\": 1,", "\"version\": 4294967297,");
+        let err =
+            ReplayCase::from_json(&hostile).expect_err("a u32-wrapping version must be rejected");
+        assert!(err.contains("version"), "{err}");
     }
 
     #[test]

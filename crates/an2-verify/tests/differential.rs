@@ -2,10 +2,12 @@
 //! against a naive reference on random instances, and simulated delays
 //! cross-checked against the paper's analytic formulas.
 
+use an2_sched::islip::{RoundRobinMatching, WideRoundRobinMatching};
 use an2_sched::maximum::hopcroft_karp;
 use an2_sched::pim::{AcceptPolicy, IterationLimit};
 use an2_sched::rng::{SelectRng, Xoshiro256};
 use an2_sched::{FrameSchedule, InputPort, OutputPort, Pim, RequestMatrix, Scheduler};
+use an2_sched::{WidePim, WideRequestMatrix};
 use an2_sim::analytic::{hol_saturation_throughput, output_queueing_mean_delay};
 use an2_sched::fifo::FifoPriority;
 use an2_sim::fifo_switch::FifoSwitch;
@@ -15,25 +17,24 @@ use an2_sim::traffic::RateMatrixTraffic;
 use an2_sched::{MatchingN, Mwm, MwmN, PortMaskN, RequestMatrixN, Serenade, WeightPolicy};
 use an2_verify::oracle::{
     brute_force_max_weight_matching, frame_demand_feasible, kuhn_maximum_matching_size,
-    within_confidence, ReferenceMwm, ReferencePim,
+    within_confidence, ReferenceMwm, ReferencePim, ReferenceRoundRobin,
 };
 
-/// Draws an identical instance in both representations.
-fn random_instance(n: usize, density: f64, rng: &mut Xoshiro256) -> (RequestMatrix, Vec<Vec<bool>>) {
+/// Draws a random instance, row by row.
+fn random_instance(n: usize, density: f64, rng: &mut Xoshiro256) -> RequestMatrix {
     let bools: Vec<Vec<bool>> = (0..n)
         .map(|_| (0..n).map(|_| rng.bernoulli(density)).collect())
         .collect();
-    let reqs = RequestMatrix::from_fn(n, |i, j| bools[i][j]);
-    (reqs, bools)
+    RequestMatrix::from_fn(n, |i, j| bools[i][j])
 }
 
 /// The core differential: the optimised `Pim` and the naive
 /// `ReferencePim`, seeded identically, must produce *identical* matchings
 /// slot after slot — for every accept policy and iteration limit, across
-/// densities from empty to full. Any divergence convicts one of them.
+/// densities from empty to full, at radii inside one word and across
+/// word boundaries. Any divergence convicts one of them.
 #[test]
 fn optimised_pim_equals_reference_pim_exactly() {
-    let n = 16;
     let policies = [
         AcceptPolicy::Random,
         AcceptPolicy::RoundRobin,
@@ -44,23 +45,22 @@ fn optimised_pim_equals_reference_pim_exactly() {
         IterationLimit::Fixed(4),
         IterationLimit::ToCompletion,
     ];
-    for &policy in &policies {
-        for &limit in &limits {
-            let seed = 0xD1FF ^ (policy as u64) << 8;
-            let mut fast = Pim::with_options(n, seed, limit, policy);
-            let mut slow = ReferencePim::with_options(n, seed, limit, policy);
-            let mut traffic_rng = Xoshiro256::seed_from(0xABC);
-            let densities = [0.1, 0.5, 0.9, 1.0, 0.0];
-            for slot in 0..200u64 {
-                let density = densities[(slot as usize) % densities.len()];
-                let (reqs, bools) = random_instance(n, density, &mut traffic_rng);
-                let m = fast.schedule(&reqs);
-                let r = slow.schedule(&bools);
-                for (i, ri) in r.iter().enumerate() {
-                    assert_eq!(
-                        m.output_of(InputPort::new(i)).map(|j| j.index()),
-                        *ri,
-                        "policy {policy:?} limit {limit:?} slot {slot} input {i} diverged"
+    for n in [3, 16, 70] {
+        for &policy in &policies {
+            for &limit in &limits {
+                let seed = 0xD1FF ^ (policy as u64) << 8;
+                let mut fast = Pim::with_options(n, seed, limit, policy);
+                let mut slow = ReferencePim::with_options(n, seed, limit, policy);
+                let mut traffic_rng = Xoshiro256::seed_from(0xABC);
+                let densities = [0.1, 0.5, 0.9, 1.0, 0.0];
+                for slot in 0..200u64 {
+                    let density = densities[(slot as usize) % densities.len()];
+                    let reqs = random_instance(n, density, &mut traffic_rng);
+                    assert_same_pairs(
+                        &fast.schedule(&reqs),
+                        &slow.schedule(&reqs),
+                        n,
+                        &format!("n {n} policy {policy:?} limit {limit:?} slot {slot}"),
                     );
                 }
             }
@@ -76,7 +76,7 @@ fn hopcroft_karp_matches_kuhn_sizes() {
     for trial in 0..300u64 {
         let n = 1 + (rng.index(24));
         let density = rng.uniform_f64();
-        let (reqs, _) = random_instance(n, density, &mut rng);
+        let reqs = random_instance(n, density, &mut rng);
         let hk = hopcroft_karp(&reqs);
         assert!(hk.respects(&reqs));
         assert!(hk.is_maximal(&reqs));
@@ -426,26 +426,113 @@ fn fifo_saturation_matches_karol_values() {
     }
 }
 
-/// The sparse active-pair grant walk vs the retained dense kernels at the
-/// full wide radix. `schedule` prunes the grant phase to the outputs that
-/// actually hold requests (per-column nonzero-word successor lookup,
-/// hybrid eligible assembly); `schedule_dense` and PIM's tracked path are
-/// the original O(N·W) sweeps, kept precisely so this oracle can convict
-/// either side of any divergence — in matchings *and* in hidden state
-/// (round-robin pointers, per-port RNG streams), which is why the run is
-/// long and the schedulers are never reseeded mid-run.
-#[test]
-fn sparse_wide_kernels_equal_dense_oracles_exactly() {
-    use an2_sched::islip::WideRoundRobinMatching;
-    use an2_sched::{WidePim, WideRequestMatrix};
+/// A random port mask failing up to three inputs and outputs.
+fn random_mask<const W: usize>(n: usize, rng: &mut Xoshiro256) -> PortMaskN<W> {
+    let mut mask = PortMaskN::<W>::all(n);
+    for _ in 0..rng.index(4) {
+        mask.fail_input(rng.index(n));
+        mask.fail_output(rng.index(n));
+    }
+    mask
+}
 
+/// Degraded PIM: under a port mask that changes every few slots (and
+/// sometimes clears), the production scheduler and `ReferencePim` must
+/// agree exactly — a failed port never requests, grants, accepts or
+/// draws on either side, so the healthy ports' streams stay aligned.
+#[test]
+fn masked_pim_equals_reference_pim_exactly() {
+    let mut rng = Xoshiro256::seed_from(0x3A5C_0001);
+    for policy in [
+        AcceptPolicy::Random,
+        AcceptPolicy::RoundRobin,
+        AcceptPolicy::LowestIndex,
+    ] {
+        for n in [5usize, 16, 64, 200] {
+            let mut fast = Pim::with_options(n, 0x3A5C, IterationLimit::Fixed(3), policy);
+            let mut slow =
+                ReferencePim::with_options(n, 0x3A5C, IterationLimit::Fixed(3), policy);
+            for slot in 0..40 {
+                if slot % 5 == 0 {
+                    let mask = random_mask(n, &mut rng);
+                    fast.set_port_mask(mask);
+                    slow.set_port_mask(mask);
+                }
+                let reqs = RequestMatrix::random(n, [0.1, 0.5, 1.0][slot % 3], &mut rng);
+                assert_eq!(
+                    fast.schedule(&reqs),
+                    slow.schedule(&reqs),
+                    "policy {policy:?} n {n} slot {slot}"
+                );
+            }
+        }
+    }
+}
+
+/// Degraded iSLIP and RRM: same masks, same matchings and the same
+/// grant and accept pointers slot after slot on both sides.
+#[test]
+fn masked_round_robin_equals_reference_exactly() {
+    let mut rng = Xoshiro256::seed_from(0x3A5C_0002);
+    for islip in [true, false] {
+        for n in [5usize, 16, 64, 200] {
+            let (mut fast, mut slow) = if islip {
+                (RoundRobinMatching::islip(n, 3), ReferenceRoundRobin::islip(n, 3))
+            } else {
+                (RoundRobinMatching::rrm(n, 3), ReferenceRoundRobin::rrm(n, 3))
+            };
+            for slot in 0..40 {
+                if slot % 5 == 0 {
+                    let mask = random_mask(n, &mut rng);
+                    fast.set_port_mask(mask);
+                    slow.set_port_mask(mask);
+                }
+                let reqs = RequestMatrix::random(n, [0.1, 0.5, 1.0][slot % 3], &mut rng);
+                assert_eq!(
+                    fast.schedule(&reqs),
+                    slow.schedule(&reqs),
+                    "islip {islip} n {n} slot {slot}"
+                );
+            }
+        }
+    }
+}
+
+/// The wide PIM (16-word sets, the rejection-sampled grant rule) against
+/// the reference at radii across word boundaries, on dense-enough
+/// requests that the rejection branch fires.
+#[test]
+fn wide_pim_equals_reference_across_word_boundaries() {
+    let mut root = Xoshiro256::seed_from(0x71DE);
+    for trial in 0..8u64 {
+        let n = [65, 130, 512, 1024][trial as usize % 4];
+        let reqs = WideRequestMatrix::random(n, 0.5, &mut root);
+        let mut fast = WidePim::new(n, trial);
+        let mut slow = ReferencePim::new(n, trial);
+        for _ in 0..3 {
+            let m = fast.schedule(&reqs);
+            assert_eq!(m, slow.schedule(&reqs), "trial {trial} n {n}");
+            assert!(m.respects(&reqs));
+        }
+    }
+}
+
+/// The sparse active-pair grant walks against the plain-`Vec` oracles at
+/// the full wide radix. `schedule` prunes the grant phase to the outputs
+/// that actually hold requests (per-column nonzero-word successor
+/// lookup, hybrid eligible assembly); the oracles sweep every port, so
+/// this convicts either side of any divergence — in matchings *and* in
+/// hidden state (round-robin pointers, per-port RNG streams), which is
+/// why the run is long and the schedulers are never reseeded mid-run.
+#[test]
+fn sparse_wide_kernels_equal_reference_oracles_exactly() {
     let n = 1024;
-    let mut islip_sparse = WideRoundRobinMatching::islip(n, 4);
-    let mut islip_dense = islip_sparse.clone();
-    let mut rrm_sparse = WideRoundRobinMatching::rrm(n, 4);
-    let mut rrm_dense = rrm_sparse.clone();
-    let mut pim_fast = WidePim::new(n, 0x5BA2_1992);
-    let mut pim_tracked = pim_fast.clone();
+    let mut islip = WideRoundRobinMatching::islip(n, 4);
+    let mut islip_ref = ReferenceRoundRobin::islip(n, 4);
+    let mut rrm = WideRoundRobinMatching::rrm(n, 4);
+    let mut rrm_ref = ReferenceRoundRobin::rrm(n, 4);
+    let mut pim = WidePim::new(n, 0x5BA2_1992);
+    let mut pim_ref = ReferencePim::new(n, 0x5BA2_1992);
     let mut traffic_rng = Xoshiro256::seed_from(0x5AC7);
     // Sweep the density regimes the sparse path specializes: near-empty
     // (active-set pruning dominates), light (the headline N=1024 operating
@@ -455,18 +542,18 @@ fn sparse_wide_kernels_equal_dense_oracles_exactly() {
         let density = densities[(slot as usize) % densities.len()];
         let reqs = WideRequestMatrix::random(n, density, &mut traffic_rng);
         assert_eq!(
-            islip_sparse.schedule(&reqs),
-            islip_dense.schedule_dense(&reqs),
+            islip.schedule(&reqs),
+            islip_ref.schedule(&reqs),
             "islip diverged at slot {slot} density {density}"
         );
         assert_eq!(
-            rrm_sparse.schedule(&reqs),
-            rrm_dense.schedule_dense(&reqs),
+            rrm.schedule(&reqs),
+            rrm_ref.schedule(&reqs),
             "rrm diverged at slot {slot} density {density}"
         );
         assert_eq!(
-            pim_fast.schedule(&reqs),
-            pim_tracked.schedule_with_stats(&reqs).0,
+            pim.schedule(&reqs),
+            pim_ref.schedule(&reqs),
             "pim diverged at slot {slot} density {density}"
         );
     }

@@ -1,22 +1,23 @@
-//! Sparse-vs-dense parity properties for the active-pair scheduling path.
+//! Production-vs-oracle parity properties for the active-pair scheduling
+//! path.
 //!
 //! The wide-radix schedulers run a sparse grant/accept walk (active
 //! column pruning, nonzero-word pointer successor lookup, hybrid eligible
-//! assembly) while the original dense kernels are retained as
-//! differential oracles: `schedule_dense` for iSLIP/RRM and the tracked
-//! path behind `schedule_with_stats` for PIM. These properties pin the
-//! central claim of that refactor — the sparse path is *decision- and
-//! RNG-draw-identical* to the dense one — over random request matrices,
-//! iteration budgets and random port fault masks, at widths up to the
-//! full 1024-port radix. Parity is checked on a running digest of every
-//! matched pair in every slot, so a single diverging grant anywhere in a
-//! multi-slot run fails the property.
+//! assembly); the plain-`Vec` oracles `ReferencePim` and
+//! `ReferenceRoundRobin` sweep every port. These properties pin the
+//! central claim of the sparse path — it is *decision- and
+//! RNG-draw-identical* to the textbook loop — over random request
+//! matrices, iteration budgets, accept policies and random port fault
+//! masks, at widths up to the full 1024-port radix. Parity is checked on
+//! a running digest of every matched pair in every slot, so a single
+//! diverging grant anywhere in a multi-slot run fails the property.
 
 use an2_sched::islip::WideRoundRobinMatching;
 use an2_sched::rng::{SelectRng, Xoshiro256};
 use an2_sched::{
     AcceptPolicy, IterationLimit, MatchingN, RequestMatrixN, Scheduler, WidePim, WidePortMask,
 };
+use an2_verify::{ReferencePim, ReferenceRoundRobin};
 use proptest::prelude::*;
 
 const W: usize = 16;
@@ -60,43 +61,47 @@ fn masked(n: usize, seed: u64) -> WidePortMask {
 }
 
 proptest! {
-    /// PIM's fused fast path (sparse eligible assembly) against the
-    /// tracked dense path, sharing per-port RNG state across slots: the
-    /// matchings — and therefore every random draw — must agree exactly.
+    /// PIM's fused path (sparse eligible assembly, inline grant lists)
+    /// against `ReferencePim`, sharing per-port RNG state across slots:
+    /// the matchings — and therefore every random draw — must agree
+    /// exactly.
     #[test]
-    fn pim_sparse_fast_path_matches_tracked_dense(
+    fn pim_sparse_path_matches_reference(
         params in matrix_params(),
         iters in 1usize..=5,
+        accept in prop_oneof![
+            Just(AcceptPolicy::Random),
+            Just(AcceptPolicy::RoundRobin),
+            Just(AcceptPolicy::LowestIndex),
+        ],
         sched_seed in any::<u64>(),
         mask_seed in any::<u64>(),
         use_mask in proptest::bool::ANY,
     ) {
         let (n, density, seed) = params;
         let mut pool_rng = Xoshiro256::seed_from(seed);
-        let mut fast: WidePim = WidePim::with_options(
-            n, sched_seed, IterationLimit::Fixed(iters), AcceptPolicy::Random,
-        );
-        let mut tracked = fast.clone();
+        let limit = IterationLimit::Fixed(iters);
+        let mut fast: WidePim = WidePim::with_options(n, sched_seed, limit, accept);
+        let mut slow = ReferencePim::<W>::with_options(n, sched_seed, limit, accept);
         if use_mask {
             let mask = masked(n, mask_seed);
             fast.set_port_mask(mask);
-            tracked.set_port_mask(mask);
+            slow.set_port_mask(mask);
         }
-        let (mut df, mut dt) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        let (mut df, mut ds) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
         for _ in 0..4 {
             let reqs = RequestMatrixN::<W>::random(n, density, &mut pool_rng);
             df = digest_matching(df, &fast.schedule(&reqs));
-            dt = digest_matching(dt, &tracked.schedule_with_stats(&reqs).0);
-            prop_assert_eq!(df, dt);
+            ds = digest_matching(ds, &slow.schedule(&reqs));
+            prop_assert_eq!(df, ds);
         }
     }
 
-    /// iSLIP and RRM: the sparse `schedule` against the retained
-    /// `schedule_dense` oracle on cloned schedulers, including the hidden
-    /// pointer state (a pointer drift would only surface slots later, so
-    /// the run is multi-slot and the digest spans all of it).
+    /// iSLIP and RRM: the sparse `schedule` against `ReferenceRoundRobin`
+    /// (a pointer drift would only surface slots later, so the run is
+    /// multi-slot and the digest spans all of it).
     #[test]
-    fn islip_and_rrm_sparse_matches_dense(
+    fn islip_and_rrm_sparse_matches_reference(
         params in matrix_params(),
         iters in 1usize..=4,
         is_islip in proptest::bool::ANY,
@@ -105,23 +110,22 @@ proptest! {
     ) {
         let (n, density, seed) = params;
         let mut pool_rng = Xoshiro256::seed_from(seed);
-        let mut sparse: WideRoundRobinMatching = if is_islip {
-            WideRoundRobinMatching::islip(n, iters)
+        let (mut fast, mut slow) = if is_islip {
+            (WideRoundRobinMatching::islip(n, iters), ReferenceRoundRobin::islip(n, iters))
         } else {
-            WideRoundRobinMatching::rrm(n, iters)
+            (WideRoundRobinMatching::rrm(n, iters), ReferenceRoundRobin::rrm(n, iters))
         };
-        let mut dense = sparse.clone();
         if use_mask {
             let mask = masked(n, mask_seed);
-            sparse.set_port_mask(mask);
-            dense.set_port_mask(mask);
+            fast.set_port_mask(mask);
+            slow.set_port_mask(mask);
         }
-        let (mut ds, mut dd) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        let (mut df, mut ds) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
         for _ in 0..4 {
             let reqs = RequestMatrixN::<W>::random(n, density, &mut pool_rng);
-            ds = digest_matching(ds, &sparse.schedule(&reqs));
-            dd = digest_matching(dd, &dense.schedule_dense(&reqs));
-            prop_assert_eq!(ds, dd);
+            df = digest_matching(df, &fast.schedule(&reqs));
+            ds = digest_matching(ds, &slow.schedule(&reqs));
+            prop_assert_eq!(df, ds);
         }
     }
 }

@@ -10,20 +10,21 @@
 //! cargo run --example pim_trace
 //! ```
 
-use an2::sched::{AcceptPolicy, IterationLimit, Pim, RequestMatrix};
+use an2::sched::{AcceptPolicy, IterationLimit, Pim, RequestMatrix, Scheduler};
+use an2_verify::ReferencePim;
 
 fn main() {
     // 0-based: input 0 -> {1, 3}, inputs 1, 2 -> {1}, input 3 -> {3}.
     let requests = RequestMatrix::from_pairs(4, [(0, 1), (0, 3), (1, 1), (2, 1), (3, 3)]);
     println!("Request pattern (rows = inputs, '#' = queued cell):\n{requests:?}\n");
 
-    let mut pim = Pim::with_options(
-        4,
-        0xF162,
-        IterationLimit::ToCompletion,
-        AcceptPolicy::Random,
-    );
-    let (matching, stats) = pim.schedule_traced(&requests, &mut |rec| {
+    // The production `Pim` runs one fused loop and exposes no phases;
+    // `ReferencePim` is its textbook twin, drawing from the same per-port
+    // streams in the same order, and it records every phase.
+    let (limit, accept) = (IterationLimit::ToCompletion, AcceptPolicy::Random);
+    let mut pim = ReferencePim::with_options(4, 0xF162, limit, accept);
+    let (matching, trace) = pim.schedule_traced(&requests);
+    for rec in &trace {
         println!("--- iteration {} ---", rec.iteration);
         for (j, reqs) in rec.requests.iter().enumerate() {
             if !reqs.is_empty() {
@@ -38,12 +39,14 @@ fn main() {
             }
         }
         for (i, j) in &rec.accepts {
-            println!("  input {} accepts output {}", i.index() + 1, j.index() + 1);
+            println!("  input {} accepts output {}", i + 1, j + 1);
         }
         println!("  unresolved requests left: {}", rec.unresolved_after);
-    });
+    }
+    let mut production = Pim::with_options(4, 0xF162, limit, accept);
+    assert_eq!(production.schedule(&requests), matching);
 
-    println!("\ncompleted in {} iteration(s); final matching:", stats.iterations_run);
+    println!("\ncompleted in {} iteration(s); final matching:", trace.len());
     for (i, j) in matching.pairs() {
         println!("  input {} -> output {}", i.index() + 1, j.index() + 1);
     }
