@@ -26,9 +26,10 @@
 //! plan leaves the simulation bit-identical to one without a fault layer.
 
 use an2_sched::rng::SelectRng as _;
-use an2_sched::{FrameSchedule, InputPort, OutputPort, Pim, PortMask, Scheduler};
-use an2_sim::cell::{Cell, FlowId};
+use an2_sched::{FrameSchedule, InputPort, OutputPort, Pim, Scheduler};
+use an2_sim::cell::{Arrival, FlowId};
 use an2_sim::fault::{DropCause, FaultKind, FaultLog, FaultPlan, PortSide};
+use an2_sim::switch::CrossbarSwitch;
 use an2_sim::voq::{ServiceDiscipline, VoqBuffers};
 use an2_sched::det::DetHashMap;
 use std::collections::BTreeMap;
@@ -187,16 +188,13 @@ enum PortTarget {
 }
 
 struct SwitchNode {
-    voq: VoqBuffers,
-    scheduler: Box<dyn Scheduler>,
+    /// The switch's VOQs, scheduler and port health, stepped through the
+    /// same slot core as the single-switch engines.
+    core: CrossbarSwitch<Box<dyn Scheduler>>,
     /// Flow → output port at this switch.
     routes: DetHashMap<FlowId, OutputPort>,
     /// Wiring of output ports; unwired ports are sinks.
     targets: Vec<PortTarget>,
-    /// Ports currently in service; mirrors what the scheduler was told.
-    mask: PortMask,
-    /// Scheduling is suspended until this slot (clock-drift excursions).
-    drift_until: u64,
     /// CBR frame schedule, if reservations are enabled at this switch.
     frame: Option<FrameSchedule>,
 }
@@ -204,10 +202,10 @@ struct SwitchNode {
 impl fmt::Debug for SwitchNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SwitchNode")
-            .field("n", &self.voq.n())
-            .field("scheduler", &self.scheduler.name())
+            .field("n", &self.core.buffers().n())
+            .field("scheduler", &self.core.scheduler().name())
             .field("routes", &self.routes.len())
-            .field("mask", &self.mask)
+            .field("mask", &self.core.port_mask())
             .finish()
     }
 }
@@ -293,8 +291,6 @@ pub struct Network {
     flows: DetHashMap<FlowId, FlowSpec>,
     /// Pending CBR re-reservation retries (exponential backoff).
     retries: Vec<Retry>,
-    /// `(switch, input, cause)` arrival faults active this slot only.
-    arrival_faults: Vec<(usize, usize, DropCause)>,
     /// Lifetime count of cells injected at sources. Unlike the per-flow
     /// delivery counters this ledger survives [`Network::reset_counters`],
     /// so the conservation invariant can be checked at any point.
@@ -329,7 +325,6 @@ impl Network {
             log: FaultLog::new(),
             flows: DetHashMap::default(),
             retries: Vec::new(),
-            arrival_faults: Vec::new(),
             injected_ledger: 0,
             delivered_ledger: 0,
         }
@@ -365,12 +360,9 @@ impl Network {
     ) -> SwitchId {
         let id = SwitchId(self.switches.len());
         self.switches.push(SwitchNode {
-            voq: VoqBuffers::with_discipline(n, discipline),
-            scheduler,
+            core: CrossbarSwitch::from_parts(VoqBuffers::with_discipline(n, discipline), scheduler),
             routes: DetHashMap::default(),
             targets: vec![PortTarget::Sink; n],
-            mask: PortMask::all(n),
-            drift_until: 0,
             frame: None,
         });
         id
@@ -386,7 +378,7 @@ impl Network {
 
     fn check_port(&self, sw: SwitchId, port: usize) -> Result<(), TopologyError> {
         self.check_switch(sw)?;
-        let ports = self.switches[sw.0].voq.n();
+        let ports = self.switches[sw.0].core.buffers().n();
         if port < ports {
             Ok(())
         } else {
@@ -524,7 +516,7 @@ impl Network {
         capacity: Option<usize>,
     ) -> Result<(), TopologyError> {
         self.check_switch(sw)?;
-        self.switches[sw.0].voq.set_pair_capacity(capacity);
+        self.switches[sw.0].core.buffers_mut().set_pair_capacity(capacity);
         Ok(())
     }
 
@@ -540,7 +532,7 @@ impl Network {
     /// Panics if `frame_len == 0` (a frame must contain slots).
     pub fn enable_cbr(&mut self, sw: SwitchId, frame_len: usize) -> Result<(), TopologyError> {
         self.check_switch(sw)?;
-        let n = self.switches[sw.0].voq.n();
+        let n = self.switches[sw.0].core.buffers().n();
         self.switches[sw.0].frame = Some(FrameSchedule::new(n, frame_len));
         Ok(())
     }
@@ -672,7 +664,7 @@ impl Network {
 
     /// Total cells buffered across all switches.
     pub fn queued(&self) -> usize {
-        self.switches.iter().map(|s| s.voq.len()).sum()
+        self.switches.iter().map(|s| s.core.buffers().len()).sum()
     }
 
     /// Lifetime count of cells injected at sources (never reset).
@@ -713,7 +705,7 @@ impl Network {
                     return Err(format!("switch {idx}: frame schedule inconsistent"));
                 }
             }
-            if !node.voq.capacity_invariant_holds() {
+            if !node.core.buffers().capacity_invariant_holds() {
                 return Err(format!("switch {idx}: VOQ occupancy exceeds capacity"));
             }
         }
@@ -753,7 +745,6 @@ impl Network {
     /// panicked on.
     pub fn step(&mut self) {
         let now = self.slot;
-        self.arrival_faults.clear();
         if self.plan.remaining() > 0 {
             self.apply_due_faults(now);
         }
@@ -783,195 +774,117 @@ impl Network {
             }
         }
         // 3. Every switch schedules and forwards independently ("there is
-        //    no centralized scheduler").
-        for sw_idx in 0..self.switches.len() {
-            if now < self.switches[sw_idx].drift_until {
-                // Clock excursion: arrivals buffer, the crossbar idles.
-                continue;
-            }
-            let matching = {
-                let node = &mut self.switches[sw_idx];
-                let requests = node.voq.requests();
-                let matching = node.scheduler.schedule(requests);
-                debug_assert!(matching.respects(requests));
-                matching
-            };
-            for (i, j) in matching.pairs() {
-                let cell = self.switches[sw_idx]
-                    .voq
-                    .pop(i, j)
-                    .expect("scheduler contract: matched pairs have queued cells");
-                match self.switches[sw_idx].targets[j.index()] {
-                    PortTarget::Link {
-                        to,
-                        port,
-                        latency,
-                        up,
-                    } => {
-                        if up {
-                            self.in_flight
-                                .entry(now + latency)
-                                .or_default()
-                                .push((to, port, cell.flow, cell.arrival_slot));
-                        } else {
-                            // A recovered port can feed a still-dead link.
-                            self.log.record_drop(
-                                now,
-                                sw_idx,
-                                i.index(),
-                                cell.flow.0,
-                                DropCause::DeadLink,
-                            );
-                        }
-                    }
-                    PortTarget::Sink => {
-                        self.delivered_ledger += 1;
-                        *self.delivered.entry(cell.flow).or_insert(0) += 1;
-                        *self.latency_sum.entry(cell.flow).or_insert(0) +=
-                            now - cell.arrival_slot;
-                    }
+        //    no centralized scheduler"); a drifting clock idles its crossbar.
+        for (sw_idx, node) in self.switches.iter_mut().enumerate() {
+            let SwitchNode { core, targets, .. } = node;
+            core.serve(|cell| match targets.get(cell.output.index()) {
+                Some(&PortTarget::Link {
+                    to,
+                    port,
+                    latency,
+                    up: true,
+                }) => {
+                    self.in_flight
+                        .entry(now + latency)
+                        .or_default()
+                        .push((to, port, cell.flow, cell.arrival_slot));
                 }
-            }
+                Some(PortTarget::Link { up: false, .. }) => {
+                    // A recovered port can feed a still-dead link.
+                    self.log.record_drop(
+                        now,
+                        sw_idx,
+                        cell.input.index(),
+                        cell.flow.0,
+                        DropCause::DeadLink,
+                    );
+                }
+                _ => {
+                    self.delivered_ledger += 1;
+                    *self.delivered.entry(cell.flow).or_insert(0) += 1;
+                    *self.latency_sum.entry(cell.flow).or_insert(0) += now - cell.arrival_slot;
+                }
+            });
+            core.end_slot();
         }
         self.slot += 1;
     }
 
-    /// Applies every plan event due at `now`, in plan order.
+    /// Applies every plan event due at `now`, in plan order. Link events
+    /// reroute here; every other event goes to the switch's own port
+    /// health. Events against unknown switches or ports are ignored (a
+    /// fault plan is data, not trusted configuration).
     fn apply_due_faults(&mut self, now: u64) {
         let events: Vec<_> = self.plan.due(now).to_vec();
         for e in events {
             self.log.record_applied(e);
             match e.kind {
-                FaultKind::LinkDown { switch, output } => {
-                    self.fault_link_down(now, switch, output);
-                }
-                FaultKind::LinkUp { switch, output } => self.fault_link_up(now, switch, output),
-                FaultKind::PortFail { switch, side, port } => {
-                    self.fault_port(switch, side, port, false);
-                }
-                FaultKind::PortRecover { switch, side, port } => {
-                    self.fault_port(switch, side, port, true);
-                }
-                FaultKind::CellDrop { switch, input } => {
-                    self.arrival_faults.push((switch, input, DropCause::Injected));
-                }
-                FaultKind::CellCorrupt { switch, input } => {
-                    self.arrival_faults
-                        .push((switch, input, DropCause::Corrupted));
-                }
-                FaultKind::ClockDrift { switch, slots } => {
-                    if let Some(node) = self.switches.get_mut(switch) {
-                        node.drift_until = node.drift_until.max(now.saturating_add(slots));
+                FaultKind::LinkDown { switch, output } => self.fault_link(now, switch, output, false),
+                FaultKind::LinkUp { switch, output } => self.fault_link(now, switch, output, true),
+                kind => {
+                    if let Some(node) = self.switches.get_mut(kind.switch()) {
+                        node.core.apply(kind);
                     }
                 }
             }
         }
     }
 
-    /// Masks or unmasks one port; events against unknown switches or ports
-    /// are ignored (a fault plan is data, not trusted configuration).
-    fn fault_port(&mut self, switch: usize, side: PortSide, port: usize, up: bool) {
+    /// Takes the link out of `switch` via `output` down, or brings it
+    /// back up. Going down, in-flight cells on it are lost, the upstream
+    /// output is masked, and every flow routed over it is rerouted (or
+    /// stranded, with its queued cells dropped). Coming back, the output
+    /// is unmasked and any registered flow left without a complete route
+    /// is repaired.
+    fn fault_link(&mut self, now: u64, switch: usize, output: usize, up: bool) {
         let Some(node) = self.switches.get_mut(switch) else {
             return;
         };
-        if port >= node.voq.n() {
-            return;
-        }
-        let changed = match (side, up) {
-            (PortSide::Input, false) => node.mask.fail_input(port),
-            (PortSide::Input, true) => node.mask.recover_input(port),
-            (PortSide::Output, false) => node.mask.fail_output(port),
-            (PortSide::Output, true) => node.mask.recover_output(port),
-        };
-        if changed {
-            node.scheduler.set_port_mask(node.mask);
-        }
-    }
-
-    /// Takes the link out of `switch` via `output` down: in-flight cells on
-    /// it are lost, the upstream output is masked, and every flow routed
-    /// over it is rerouted (or stranded, with its queued cells dropped).
-    fn fault_link_down(&mut self, now: u64, switch: usize, output: usize) {
-        let Some(node) = self.switches.get(switch) else {
-            return;
-        };
-        let Some(&PortTarget::Link {
+        let Some(PortTarget::Link {
             to,
             port,
-            latency,
-            up,
-        }) = node.targets.get(output)
+            up: link_up,
+            ..
+        }) = node.targets.get_mut(output)
         else {
             return;
         };
-        if !up {
+        if *link_up == up {
             return;
         }
-        self.switches[switch].targets[output] = PortTarget::Link {
-            to,
-            port,
-            latency,
-            up: false,
+        *link_up = up;
+        let (to, port) = (*to, *port);
+        node.core.set_port(PortSide::Output, output, up);
+        let affected: Vec<FlowId> = if up {
+            self.flows
+                .iter()
+                .filter(|(flow, spec)| {
+                    spec.exit.is_some()
+                        && self.trace_route(**flow, spec.entry, spec.entry_port).is_none()
+                })
+                .map(|(flow, _)| *flow)
+                .collect()
+        } else {
+            // Cells in flight on this link are lost.
+            for batch in self.in_flight.values_mut() {
+                batch.retain(|&(sw, inp, flow, _)| {
+                    let on_link = sw == to && inp == port;
+                    if on_link {
+                        self.log
+                            .record_drop(now, to.0, port.index(), flow.0, DropCause::DeadLink);
+                    }
+                    !on_link
+                });
+            }
+            self.switches[switch]
+                .routes
+                .iter()
+                .filter(|(_, out)| out.index() == output)
+                .map(|(&flow, _)| flow)
+                .filter(|flow| self.flows.contains_key(flow))
+                .collect()
         };
-        // Cells in flight on this link are lost.
-        for batch in self.in_flight.values_mut() {
-            batch.retain(|&(sw, inp, flow, _)| {
-                let on_link = sw == to && inp == port;
-                if on_link {
-                    self.log
-                        .record_drop(now, to.0, port.index(), flow.0, DropCause::DeadLink);
-                }
-                !on_link
-            });
-        }
-        self.fault_port(switch, PortSide::Output, output, false);
-        // Reroute every registered flow that crossed the link.
-        let affected: Vec<FlowId> = self.switches[switch]
-            .routes
-            .iter()
-            .filter(|(_, out)| out.index() == output)
-            .map(|(&flow, _)| flow)
-            .filter(|flow| self.flows.contains_key(flow))
-            .collect();
         for flow in affected {
-            self.reroute_flow(now, flow);
-        }
-    }
-
-    /// Brings the link back up, unmasks the output, and repairs any
-    /// registered flow left without a complete route.
-    fn fault_link_up(&mut self, now: u64, switch: usize, output: usize) {
-        let Some(node) = self.switches.get(switch) else {
-            return;
-        };
-        let Some(&PortTarget::Link {
-            to,
-            port,
-            latency,
-            up,
-        }) = node.targets.get(output)
-        else {
-            return;
-        };
-        if up {
-            return;
-        }
-        self.switches[switch].targets[output] = PortTarget::Link {
-            to,
-            port,
-            latency,
-            up: true,
-        };
-        self.fault_port(switch, PortSide::Output, output, true);
-        let broken: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(flow, spec)| {
-                spec.exit.is_some() && self.trace_route(**flow, spec.entry, spec.entry_port).is_none()
-            })
-            .map(|(flow, _)| *flow)
-            .collect();
-        for flow in broken {
             self.reroute_flow(now, flow);
         }
     }
@@ -1046,7 +959,10 @@ impl Network {
                 for &(sw, inp, old_out) in &old {
                     match self.switches[sw.0].routes.get(&flow).copied() {
                         Some(new_out) if new_out != old_out => {
-                            let n = self.switches[sw.0].voq.redirect_flow(flow, new_out);
+                            let n = self.switches[sw.0]
+                                .core
+                                .buffers_mut()
+                                .redirect_flow(flow, new_out);
                             for _ in 0..n {
                                 self.log.record_drop(
                                     now,
@@ -1059,7 +975,7 @@ impl Network {
                         }
                         Some(_) => {}
                         None => {
-                            let n = self.switches[sw.0].voq.drop_flow(flow);
+                            let n = self.switches[sw.0].core.buffers_mut().drop_flow(flow);
                             for _ in 0..n {
                                 self.log.record_drop(
                                     now,
@@ -1099,7 +1015,7 @@ impl Network {
         hops: &[(SwitchId, InputPort, OutputPort)],
     ) {
         for &(sw, inp, _) in hops {
-            let n = self.switches[sw.0].voq.drop_flow(flow);
+            let n = self.switches[sw.0].core.buffers_mut().drop_flow(flow);
             for _ in 0..n {
                 self.log
                     .record_drop(now, sw.0, inp.index(), flow.0, DropCause::DeadLink);
@@ -1310,33 +1226,29 @@ impl Network {
     /// the flow's output there. `injected_at` is preserved end-to-end for
     /// latency accounting. Arrival faults, missing routes, and full
     /// buffers all turn into counted drops.
-    // an2-lint: allow(panic-freedom) sw and port come from the topology's validated switch table and radix; both index arrays sized at build time
+    // an2-lint: allow(panic-freedom) sw comes from the topology's validated switch table
     fn enqueue(&mut self, sw: SwitchId, port: InputPort, flow: FlowId, injected_at: u64) {
-        let now = self.slot;
-        if let Some(&(_, _, cause)) = self
-            .arrival_faults
-            .iter()
-            .find(|&&(s, p, _)| s == sw.0 && p == port.index())
-        {
-            self.log.record_drop(now, sw.0, port.index(), flow.0, cause);
-            return;
-        }
         let node = &mut self.switches[sw.0];
-        let Some(&out) = node.routes.get(&flow) else {
-            self.log
-                .record_drop(now, sw.0, port.index(), flow.0, DropCause::NoRoute);
-            return;
+        let cause = match node.routes.get(&flow) {
+            // An arrival fault consumes the cell before routing sees it.
+            None => Some(
+                node.core
+                    .health()
+                    .arrival_fault(port.index())
+                    .unwrap_or(DropCause::NoRoute),
+            ),
+            Some(&output) => {
+                let arrival = Arrival {
+                    input: port,
+                    output,
+                    flow,
+                };
+                node.core.admit(&arrival, injected_at)
+            }
         };
-        // an2-lint: allow(alloc-in-hot-path) delegates to VoqBuffer::push; its amortized deque growth is justified at the definition
-        let outcome = node.voq.push(Cell {
-            flow,
-            input: port,
-            output: out,
-            arrival_slot: injected_at,
-        });
-        if outcome.is_dropped() {
+        if let Some(cause) = cause {
             self.log
-                .record_drop(now, sw.0, port.index(), flow.0, DropCause::BufferFull);
+                .record_drop(self.slot, sw.0, port.index(), flow.0, cause);
         }
     }
 }
@@ -1393,6 +1305,29 @@ mod tests {
         assert!((d1 + d2 - 10_000.0).abs() < 100.0, "bottleneck not saturated");
         let share = d1 / (d1 + d2);
         assert!((share - 0.5).abs() < 0.05, "share {share}");
+    }
+
+    #[test]
+    fn queue_aware_scheduler_sees_the_queues() {
+        // LQF-weighted MWM serves the deeper of two contending VOQs, so two
+        // saturating inputs share the output. Without the queue feed every
+        // pair weighs 1 and the tie always breaks to input 0 (1000/0).
+        let mut net = Network::new(11);
+        let s = net.add_switch_with(
+            2,
+            Box::new(an2_sched::Mwm::lqf(2)),
+            ServiceDiscipline::RoundRobin,
+        );
+        let (f1, f2) = (FlowId(1), FlowId(2));
+        net.add_route(s, f1, OutputPort::new(0)).unwrap();
+        net.add_route(s, f2, OutputPort::new(0)).unwrap();
+        net.add_source(s, InputPort::new(0), vec![f1], 1.0).unwrap();
+        net.add_source(s, InputPort::new(1), vec![f2], 1.0).unwrap();
+        net.run(1000);
+        let (d1, d2) = (net.delivered(f1), net.delivered(f2));
+        let total = (d1 + d2) as f64;
+        assert!(d1 as f64 >= 0.45 * total && d2 as f64 >= 0.45 * total, "{d1}/{d2}");
+        net.verify_invariants().unwrap();
     }
 
     #[test]
@@ -1820,6 +1755,34 @@ mod fault_tests {
         assert!(log.drops().iter().any(|d| d.cause == DropCause::Corrupted));
         // The port outage paused delivery but everything still flows after.
         assert!(net.delivered(f) >= 40, "delivered {}", net.delivered(f));
+    }
+
+    #[test]
+    fn events_naming_a_port_outside_the_switch_are_ignored() {
+        let run = |events: Vec<FaultEvent>| {
+            let (mut net, _, f) = chain_with_backup();
+            net.set_fault_plan(FaultPlan::from_events(events));
+            net.run(300);
+            (net.delivered(f), net.queued(), net.fault_log().clone())
+        };
+        let (clean_delivered, clean_queued, clean_log) = run(Vec::new());
+        let (delivered, queued, log) = run(vec![
+            FaultEvent {
+                slot: 100,
+                kind: FaultKind::PortFail {
+                    switch: 0,
+                    side: PortSide::Input,
+                    port: 4,
+                },
+            },
+            FaultEvent {
+                slot: 101,
+                kind: FaultKind::CellDrop { switch: 0, input: 4 },
+            },
+        ]);
+        assert_eq!((delivered, queued), (clean_delivered, clean_queued));
+        assert_eq!(log.drops(), clean_log.drops());
+        assert_eq!(log.applied().len(), 2);
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! `--threads 8` runs can be byte-compared.
 
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::{Pim, PortMask, PortSet, RequestMatrix, Scheduler};
-use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, PortSide};
+use an2_sched::{Pim, RequestMatrix, Scheduler};
+use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, PortHealth, PortSide};
 use an2_sim::metrics::QuantileSketch;
 use an2_task::{task_seed, Pool};
 use std::fmt;
@@ -208,10 +208,9 @@ struct SwitchShard {
     // --- fault state (inert in fault-free runs) ---------------------
     /// This switch's slice of the campaign's fault plan.
     plan: FaultPlan,
-    /// Port health; failed ports are masked out of scheduling only.
-    mask: PortMask,
-    /// Scheduling is suspended while `slot < drift_until` (clock drift).
-    drift_until: u64,
+    /// Port mask, this slot's lost arrivals and clock drift; failed
+    /// ports are masked out of scheduling only.
+    health: PortHealth,
     /// Physical state of the outgoing ring link (LinkDown/LinkUp events).
     link_up: bool,
     /// A re-reservation backoff loop is running for the ring link.
@@ -262,8 +261,7 @@ impl SwitchShard {
             delay_sum: 0,
             sketch: QuantileSketch::new(),
             plan: FaultPlan::new(),
-            mask: PortMask::all(cfg.radix),
-            drift_until: 0,
+            health: PortHealth::new(cfg.radix),
             link_up: true,
             reserving: false,
             retry_at: 0,
@@ -299,76 +297,39 @@ impl SwitchShard {
         self.queued += 1;
     }
 
-    /// One slot: consume the inbox, inject host traffic, schedule the
-    /// crossbar, deliver local cells and fill the outbox.
-    // an2-lint: hot
-    fn step(&mut self, slot: u64) {
-        let none = PortSet::new();
-        self.advance(slot, &none, &none, false);
-    }
-
     /// One slot under this switch's fault plan: applies due events (mask
     /// changes, on-the-wire cell losses, clock drift), runs the bounded-
     /// backoff re-reservation probe for a failed ring link, then the
     /// ordinary inject/schedule/transmit sequence. With an empty plan the
-    /// slot is bit-identical to [`SwitchShard::step`] — the RNG draw order
-    /// never depends on fault state.
+    /// slot is bit-identical to [`SwitchShard::advance`] — the RNG draw order
+    /// never depends on fault state. Only the ring link's events (output 0)
+    /// are handled here; every other event is [`PortHealth`]'s.
     // an2-lint: hot
     fn step_faulted(&mut self, slot: u64) {
-        let mut injected = PortSet::new();
-        let mut corrupted = PortSet::new();
         let mut mask_changed = false;
         // Move the plan out so event handling can borrow `self` freely.
         let mut plan = std::mem::take(&mut self.plan);
         for ev in plan.due(slot) {
             match ev.kind {
-                FaultKind::LinkDown { output, .. } => {
-                    if output == 0 {
-                        // The outgoing ring link died: lose anything on
-                        // the wire and start the re-reservation loop.
-                        self.link_up = false;
-                        if self.outbox.take().is_some() {
-                            self.dropped = self.dropped.saturating_add(1);
-                        }
-                        if !self.reserving {
-                            self.reserving = true;
-                            self.down_since = slot;
-                            self.backoff = 1;
-                            self.retry_at = slot.saturating_add(1);
-                        }
+                FaultKind::LinkDown { output: 0, .. } => {
+                    // The outgoing ring link died: lose anything on the
+                    // wire and start the re-reservation loop.
+                    self.link_up = false;
+                    if self.outbox.take().is_some() {
+                        self.dropped = self.dropped.saturating_add(1);
                     }
-                    mask_changed |= self.mask.fail_output(output);
-                }
-                FaultKind::LinkUp { output, .. } => {
-                    if output == 0 {
-                        // Physical repair only: the output stays masked
-                        // until a re-reservation probe succeeds.
-                        self.link_up = true;
-                    } else {
-                        mask_changed |= self.mask.recover_output(output);
+                    if !self.reserving {
+                        self.reserving = true;
+                        self.down_since = slot;
+                        self.backoff = 1;
+                        self.retry_at = slot.saturating_add(1);
                     }
+                    mask_changed |= self.health.apply(slot, ev.kind);
                 }
-                FaultKind::PortFail { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.fail_input(port),
-                        PortSide::Output => self.mask.fail_output(port),
-                    };
-                }
-                FaultKind::PortRecover { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.recover_input(port),
-                        PortSide::Output => self.mask.recover_output(port),
-                    };
-                }
-                FaultKind::CellDrop { input, .. } => {
-                    injected.insert(input);
-                }
-                FaultKind::CellCorrupt { input, .. } => {
-                    corrupted.insert(input);
-                }
-                FaultKind::ClockDrift { slots, .. } => {
-                    self.drift_until = self.drift_until.max(slot.saturating_add(slots));
-                }
+                // Physical repair only: the output stays masked until a
+                // re-reservation probe succeeds.
+                FaultKind::LinkUp { output: 0, .. } => self.link_up = true,
+                kind => mask_changed |= self.health.apply(slot, kind),
             }
             self.applied = self.applied.saturating_add(1);
         }
@@ -380,7 +341,7 @@ impl SwitchShard {
             self.res_attempts = self.res_attempts.saturating_add(1);
             if self.link_up {
                 self.reserving = false;
-                mask_changed |= self.mask.recover_output(0);
+                mask_changed |= self.health.set_port(PortSide::Output, 0, true);
                 self.recoveries = self.recoveries.saturating_add(1);
                 self.recovery_slots = self
                     .recovery_slots
@@ -392,22 +353,22 @@ impl SwitchShard {
             }
         }
         if mask_changed {
-            self.sched.set_port_mask(self.mask);
+            self.sched.set_port_mask(self.health.mask());
         }
-        let skip_schedule = slot < self.drift_until;
-        self.advance(slot, &injected, &corrupted, skip_schedule);
+        self.advance(slot);
+        self.health.end_slot();
     }
 
-    /// The slot engine shared by [`SwitchShard::step`] (no faults) and
-    /// [`SwitchShard::step_faulted`]. RNG draws happen for every host
-    /// arrival whether or not a fault consumes it, so masking and drops
-    /// are draw-neutral.
+    /// One slot: consume the inbox, inject host traffic, schedule the
+    /// crossbar (unless the clock drifts), deliver local cells and fill
+    /// the outbox. RNG draws happen for every host arrival whether or not
+    /// a fault consumes it, so masking and drops are draw-neutral.
     // an2-lint: hot
     // an2-lint: allow(overflow-discipline) queued mirrors ring occupancy; slot >= inject_slot(cell) since cells are injected at or before the current slot; delivery counters are monotone u64
     // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i and j are < radix and p < rings.len()
-    fn advance(&mut self, slot: u64, injected: &PortSet, corrupted: &PortSet, skip_schedule: bool) {
+    fn advance(&mut self, slot: u64) {
         if let Some(cell) = self.inbox.take() {
-            if injected.contains(0) || corrupted.contains(0) {
+            if self.health.arrival_fault(0).is_some() {
                 // The cell in flight on the (dying or glitching) ring link
                 // is lost at the receiver.
                 self.dropped += 1;
@@ -420,14 +381,14 @@ impl SwitchShard {
                 let d = (self.k + 1 + self.rng.index(self.span)) % self.switches;
                 let q = 1 + self.rng.index(self.radix - 1);
                 self.injected += 1;
-                if injected.contains(h) || corrupted.contains(h) {
+                if self.health.arrival_fault(h).is_some() {
                     self.dropped += 1;
                 } else {
                     self.enqueue_cell(h, pack(d, q, slot));
                 }
             }
         }
-        if skip_schedule {
+        if self.health.drifting(slot) {
             return;
         }
         let matching = self.sched.schedule(&self.requests);
@@ -729,7 +690,7 @@ pub fn run_shard_net(cfg: &ShardNetConfig, pool: &Pool) -> ShardReport {
     cfg.validate();
     let k = cfg.switches;
     let mut switches: Vec<SwitchShard> = (0..k).map(|i| SwitchShard::new(cfg, i)).collect();
-    step_ring(&mut switches, cfg.slots, pool, SwitchShard::step);
+    step_ring(&mut switches, cfg.slots, pool, SwitchShard::advance);
     let t = Totals::of(&switches);
     let report = ShardReport {
         slots: cfg.slots,
@@ -1003,7 +964,7 @@ mod tests {
 
     fn step_or_fail(sw: &mut SwitchShard, slot: u64) {
         assert!(!(sw.k == 16 && slot == 7), "switch 16 failed in slot 7");
-        sw.step(slot);
+        sw.advance(slot);
     }
 
     #[test]
@@ -1091,6 +1052,34 @@ mod tests {
             faulted.delivered,
             "window buckets must sum to the delivered total"
         );
+    }
+
+    #[test]
+    fn events_naming_a_port_outside_the_switch_are_ignored() {
+        let cfg = small();
+        let outside = |slot, kind| FaultEvent { slot, kind };
+        let plan = FaultPlan::from_events(vec![
+            outside(
+                40,
+                FaultKind::PortFail {
+                    switch: 3,
+                    side: PortSide::Output,
+                    port: cfg.radix,
+                },
+            ),
+            outside(
+                41,
+                FaultKind::CellDrop {
+                    switch: 3,
+                    input: cfg.radix,
+                },
+            ),
+        ]);
+        let clean = run_shard_net_faulted(&cfg, &FaultPlan::new(), &Pool::serial());
+        let faulted = run_shard_net_faulted(&cfg, &plan, &Pool::serial());
+        assert_eq!(faulted.faults_applied, 2, "still logged as applied");
+        assert_eq!(faulted.dropped, 0);
+        assert_eq!(faulted.digest, clean.digest);
     }
 
     fn burst_plan() -> FaultPlan {

@@ -37,16 +37,16 @@
 //! (instead of ring-header + boxed-buffer + count-array, three lines) is
 //! worth ~2x on the N=1024 slot rate.
 //!
-//! Delay statistics are collected twice: the exact [`DelayStats`]
-//! histogram (for digest parity with the scalar engine) and the O(1)-memory
-//! [`QuantileSketch`] (what long network runs keep when the exact
-//! histogram would grow unboundedly).
+//! The slot sequence itself — faults, admission, the lifetime ledger,
+//! the queue-observation feed, scheduling and departures — is
+//! [`SlotCore`]'s; this engine is the core over the pair table. Arrival
+//! stamps are `u32` and wrap: a delay is `now - stamp` in wrapping `u32`
+//! arithmetic, exact for any delay below 2^32 slots, so runs may pass
+//! slot 2^32.
 
 use crate::cell::{Arrival, FlowId};
-use crate::fault::{DropCause, FaultKind, FaultLog, FaultPlan, PortSide};
-use crate::metrics::{DelayStats, QuantileSketch, SwitchReport};
-use crate::model::SwitchModel;
-use an2_sched::{MatchingN, PortMaskN, PortSetN, RequestMatrixN, Scheduler};
+use crate::core::{QueueStore, SlotCore};
+use an2_sched::{InputPort, OutputPort, PortSetN, RequestMatrixN, Scheduler};
 
 /// Cells a [`PairQueue`] holds inline before spilling to a boxed ring.
 const QUEUE_INLINE: usize = 7;
@@ -86,42 +86,40 @@ struct PairQueue {
 
 impl PairQueue {
     #[inline]
-    // an2-lint: allow(overflow-discipline) occupancy counters are bounded by queue capacity; sequence counters are monotone u64
-    // an2-lint: allow(panic-freedom) lane and port indices are < LANES and < n by the SoA layout's construction bounds
     fn enqueue(&mut self, v: u32) {
         let len = self.len as usize;
-        if !self.spill.is_empty() {
+        let slot = if !self.spill.is_empty() {
             if len == self.spill.len() {
                 self.grow();
             }
-            let mask = self.spill.len() - 1;
-            let tail = (self.head as usize + len) & mask;
-            self.spill[tail] = v;
+            let tail = (self.head as usize).wrapping_add(len) & self.spill.len().wrapping_sub(1);
+            self.spill.get_mut(tail)
         } else if len < QUEUE_INLINE {
-            self.inline[len] = v;
+            self.inline.get_mut(len)
         } else {
             self.spill_out();
-            self.spill[len] = v;
+            self.spill.get_mut(len)
+        };
+        if let Some(slot) = slot {
+            *slot = v;
         }
-        self.len += 1;
+        self.len = self.len.wrapping_add(1);
     }
 
     #[inline]
-    // an2-lint: allow(overflow-discipline) occupancy decrements follow a non-empty check; delivery counters are monotone u64
-    // an2-lint: allow(panic-freedom) lane and port indices are < LANES and < n by the SoA layout's construction bounds
     fn dequeue(&mut self) -> u32 {
         debug_assert!(self.len > 0, "dequeue from empty pair queue");
-        self.len -= 1;
+        self.len = self.len.wrapping_sub(1);
         if self.spill.is_empty() {
-            let v = self.inline[0];
+            let [v, ..] = self.inline;
             // One-lane shift within the same cache line: cheaper than ring
             // arithmetic would make the spilled-or-not branch.
             self.inline.copy_within(1..QUEUE_INLINE, 0);
             v
         } else {
-            let mask = self.spill.len() - 1;
-            let v = self.spill[self.head as usize];
-            self.head = ((self.head as usize + 1) & mask) as u32;
+            let mask = self.spill.len().wrapping_sub(1);
+            let v = self.spill.get(self.head as usize).copied().unwrap_or(0);
+            self.head = ((self.head as usize).wrapping_add(1) & mask) as u32;
             v
         }
     }
@@ -164,8 +162,144 @@ impl PairQueue {
     }
 }
 
+/// The pair store: one [`PairQueue`] per input–output pair in a dense
+/// row-major `n*n` table, plus the request matrix and the queued-cell
+/// count. Skips `schedule` on idle slots when the scheduler allows it.
+#[derive(Debug)]
+pub struct PairTable<const W: usize = 4> {
+    n: usize,
+    requests: RequestMatrixN<W>,
+    pairs: Vec<PairQueue>,
+    queued: usize,
+}
+
+impl<const W: usize> PairTable<W> {
+    /// An empty table for an `n`-port switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `n` exceeds the width's capacity (`W * 64`).
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "switch must have at least one port");
+        assert!(
+            n <= PortSetN::<W>::CAPACITY,
+            "switch size {n} exceeds width capacity {}",
+            PortSetN::<W>::CAPACITY
+        );
+        let mut pairs = Vec::new();
+        pairs.resize_with(n * n, PairQueue::default);
+        Self {
+            n,
+            requests: RequestMatrixN::new(n),
+            pairs,
+            queued: 0,
+        }
+    }
+}
+
+impl<const W: usize> QueueStore<W> for PairTable<W> {
+    type Cell = ();
+
+    const SKIPS_IDLE: bool = true;
+
+    fn ports(&self) -> usize {
+        self.n
+    }
+
+    fn queued(&self) -> usize {
+        self.queued
+    }
+
+    fn requests(&self) -> &RequestMatrixN<W> {
+        &self.requests
+    }
+
+    #[inline]
+    // an2-lint: allow(panic-freedom) the one-flow-per-pair assert is this store's documented contract
+    fn admit(&mut self, a: &Arrival, stamp: u64) -> bool {
+        assert!(
+            a.flow == FlowId::for_pair(self.n, a.input, a.output),
+            "flow {} is not the pair flow of ({},{}): \
+             BatchCrossbar requires one flow per pair; use CrossbarSwitch",
+            a.flow,
+            a.input,
+            a.output
+        );
+        let p = a.input.index() * self.n + a.output.index();
+        let Some(q) = self.pairs.get_mut(p) else {
+            return false;
+        };
+        if q.len == 0 {
+            self.requests.set(a.input, a.output);
+        }
+        q.enqueue(stamp as u32);
+        self.queued = self.queued.wrapping_add(1);
+        true
+    }
+
+    fn charge_drop(&mut self, a: &Arrival) {
+        let p = a.input.index() * self.n + a.output.index();
+        if let Some(q) = self.pairs.get_mut(p) {
+            q.dropped = q.dropped.wrapping_add(1);
+        }
+    }
+
+    #[inline]
+    fn depart(&mut self, i: InputPort, j: OutputPort, now: u64) -> (u64, ()) {
+        let p = i.index() * self.n + j.index();
+        let Some(q) = self.pairs.get_mut(p) else {
+            return (0, ());
+        };
+        let stamp = q.dequeue();
+        q.count = q.count.wrapping_add(1);
+        if q.len == 0 {
+            self.requests.clear(i, j);
+        }
+        self.queued = self.queued.wrapping_sub(1);
+        (u64::from((now as u32).wrapping_sub(stamp)), ())
+    }
+
+    fn observation(&self, i: InputPort, j: OutputPort, now: u64) -> (u32, u32) {
+        self.pairs
+            .get(i.index() * self.n + j.index())
+            .map_or((0, 0), |q| {
+                let age = q.front().map_or(0, |stamp| (now as u32).wrapping_sub(stamp));
+                (q.len, age)
+            })
+    }
+
+    fn restart_window(&mut self) {
+        for q in &mut self.pairs {
+            q.count = 0;
+        }
+    }
+
+    fn flow_departures(&self) -> Vec<(u64, u64)> {
+        let mut per_flow = Vec::new();
+        for (p, q) in self.pairs.iter().enumerate() {
+            if q.count > 0 {
+                per_flow.push((p as u64, q.count));
+            }
+        }
+        per_flow
+    }
+
+    /// Reads the pair records so their cache misses issue as independent
+    /// loads the core overlaps. (A prefetch intrinsic would need unsafe; a
+    /// black-boxed read is the safe equivalent.)
+    fn warm(&self, pairs: impl Iterator<Item = (InputPort, OutputPort)>) {
+        let mut warm = 0u32;
+        for (i, j) in pairs {
+            let p = i.index().wrapping_mul(self.n).wrapping_add(j.index());
+            warm = warm.wrapping_add(self.pairs.get(p).map_or(0, |q| q.len));
+        }
+        std::hint::black_box(warm);
+    }
+}
+
 /// Structure-of-arrays crossbar simulator for the one-flow-per-pair
-/// regime, generic over the scheduler bitset width `W`.
+/// regime, generic over the scheduler bitset width `W`: the slot core over
+/// the pair table.
 ///
 /// Behaves identically to [`CrossbarSwitch`](crate::switch::CrossbarSwitch)
 /// with unbounded buffers when every arrival's flow id is
@@ -185,33 +319,7 @@ impl PairQueue {
 /// let report = simulate(&mut switch, &mut traffic, SimConfig::quick());
 /// assert!(report.delay.mean() < 10.0);
 /// ```
-#[derive(Debug)]
-pub struct BatchCrossbar<S, const W: usize = 4> {
-    n: usize,
-    scheduler: S,
-    requests: RequestMatrixN<W>,
-    pairs: Vec<PairQueue>,
-    queued: usize,
-    slot: u64,
-    measure_start: u64,
-    arrivals: u64,
-    departures: u64,
-    per_output: Vec<u64>,
-    delay: DelayStats,
-    sketch: QuantileSketch,
-    peak_occupancy: usize,
-    /// Port health as seen by [`BatchCrossbar::step_faulted`]; failed
-    /// ports keep buffering arrivals but are masked out of scheduling.
-    mask: PortMaskN<W>,
-    /// Scheduling is suspended while `slot < drift_until` (clock drift).
-    drift_until: u64,
-    /// Lifetime cells admitted to a pair queue (never reset).
-    admitted_total: u64,
-    /// Lifetime cells transmitted (never reset).
-    departed_total: u64,
-    /// Lifetime cells consumed by injected faults before admission.
-    dropped: u64,
-}
+pub type BatchCrossbar<S, const W: usize = 4> = SlotCore<PairTable<W>, S, W>;
 
 impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// Creates an `n`-port batch engine driven by `scheduler`.
@@ -224,132 +332,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     ///
     /// Panics if `n == 0` or `n` exceeds the width's capacity (`W * 64`).
     pub fn new(n: usize, scheduler: S) -> Self {
-        assert!(n > 0, "switch must have at least one port");
-        assert!(
-            n <= PortSetN::<W>::CAPACITY,
-            "switch size {n} exceeds width capacity {}",
-            PortSetN::<W>::CAPACITY
-        );
-        let mut pairs = Vec::new();
-        pairs.resize_with(n * n, PairQueue::default);
-        Self {
-            n,
-            scheduler,
-            requests: RequestMatrixN::new(n),
-            pairs,
-            queued: 0,
-            slot: 0,
-            measure_start: 0,
-            arrivals: 0,
-            departures: 0,
-            per_output: vec![0; n],
-            delay: DelayStats::new(),
-            sketch: QuantileSketch::new(),
-            peak_occupancy: 0,
-            mask: PortMaskN::all(n),
-            drift_until: 0,
-            admitted_total: 0,
-            departed_total: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Installs a port health mask on the underlying scheduler.
-    // an2-lint: allow(panic-freedom) a mis-sized mask is a harness bug, not degraded traffic; the trait documents the panic
-    pub fn set_port_mask(&mut self, mask: PortMaskN<W>) {
-        assert_eq!(mask.n(), self.n, "mask size mismatch");
-        self.mask = mask;
-        self.scheduler.set_port_mask(mask);
-    }
-
-    /// The current port health mask (mutated by [`BatchCrossbar::step_faulted`]).
-    pub fn port_mask(&self) -> PortMaskN<W> {
-        self.mask
-    }
-
-    /// The wrapped scheduler (e.g. to read a `CheckedScheduler`'s
-    /// violation list after a chaos campaign).
-    pub fn scheduler(&self) -> &S {
-        &self.scheduler
-    }
-
-    /// Lifetime cells consumed by injected faults before admission.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Lifetime cells offered to the switch: admitted plus fault-dropped.
-    pub fn offered(&self) -> u64 {
-        self.admitted_total + self.dropped
-    }
-
-    /// Lifetime cells admitted into the VOQs (offered minus fault drops).
-    pub fn admitted(&self) -> u64 {
-        self.admitted_total
-    }
-
-    /// Lifetime cells transmitted through the crossbar — the cheap counter
-    /// chaos drivers difference per slot for windowed throughput.
-    pub fn departed(&self) -> u64 {
-        self.departed_total
-    }
-
-    /// Lifetime fault drops charged to pair `(i, j)`.
-    pub fn pair_drops(&self, i: usize, j: usize) -> u64 {
-        assert!(i < self.n && j < self.n, "pair ({i},{j}) out of range");
-        u64::from(self.pairs[i * self.n + j].dropped)
-    }
-
-    /// The O(1) conservation ledger: every cell ever offered to the switch
-    /// is admitted or fault-dropped, and every admitted cell has departed
-    /// or is still queued. Holds after every slot, faulted or not.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the imbalance when the ledger is violated.
-    pub fn verify_conservation(&self) -> Result<(), String> {
-        let expect = self.departed_total + self.queued as u64;
-        if self.admitted_total != expect {
-            return Err(format!(
-                "conservation violated: {} admitted != {} departed + {} queued",
-                self.admitted_total, self.departed_total, self.queued
-            ));
-        }
-        Ok(())
-    }
-
-    /// The O(n^2) half of the drop ledger: the per-pair drop counters must
-    /// sum to the engine total. Intended for end-of-run audits, not the
-    /// slot loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the imbalance when a per-pair counter and
-    /// the total disagree.
-    pub fn verify_drop_ledger(&self) -> Result<(), String> {
-        let per_pair: u64 = self.pairs.iter().map(|q| u64::from(q.dropped)).sum();
-        if per_pair != self.dropped {
-            return Err(format!(
-                "drop ledger violated: per-pair drops sum to {per_pair} \
-                 but the engine counted {}",
-                self.dropped
-            ));
-        }
-        Ok(())
-    }
-
-    /// The streaming quantile sketch over measured delays (same samples as
-    /// the exact histogram in [`SwitchReport::delay`]).
-    pub fn quantiles(&self) -> &QuantileSketch {
-        &self.sketch
-    }
-
-    /// Input–output pairs with at least one queued cell — the active-pair
-    /// count the sparse scheduling path sizes its work by. O(1): the
-    /// request matrix maintains the count incrementally on every
-    /// enqueue/drain transition.
-    pub fn active_pairs(&self) -> usize {
-        self.requests.len()
+        SlotCore::from_parts(PairTable::new(n), scheduler)
     }
 
     /// Advances one cell slot: arrivals join their pair FIFOs, the
@@ -362,275 +345,47 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// an arrival's flow id is not `FlowId::for_pair` for its pair.
     // an2-lint: hot
     pub fn step_slot(&mut self, arrivals: &[Arrival]) {
-        let none = PortSetN::<W>::new();
-        self.advance(arrivals, &none, &none, false, None);
+        self.run_slot(arrivals, None);
     }
 
-    /// Advances one slot under a fault plan: applies the plan's events due
-    /// this slot (masking ports, losing arrivals, suspending scheduling
-    /// during clock drift), then runs the ordinary arrival/schedule/
-    /// transmit sequence, recording every applied fault and lost cell in
-    /// `log`.
-    ///
-    /// Same semantics as the scalar
-    /// [`CrossbarSwitch::step_faulted`](crate::switch::CrossbarSwitch::step_faulted):
-    /// the `switch` tag on events is ignored (build per-switch plans when
-    /// driving several switches), failed ports keep *buffering* arrivals —
-    /// the mask only gates scheduling — and with an empty plan the slot is
-    /// bit-identical to [`BatchCrossbar::step_slot`] (pinned by
-    /// `tests/batch_faults.rs` at N ∈ {64, 256, 1024}).
+    /// Lifetime fault drops charged to pair `(i, j)`.
     ///
     /// # Panics
     ///
-    /// Panics on the usual arrival violations, or if an event names a port
-    /// outside the switch.
-    // an2-lint: hot
-    pub fn step_faulted(&mut self, arrivals: &[Arrival], plan: &mut FaultPlan, log: &mut FaultLog) {
-        let slot = self.slot;
-        let mut injected = PortSetN::<W>::new();
-        let mut corrupted = PortSetN::<W>::new();
-        let mut mask_changed = false;
-        for ev in plan.due(slot) {
-            match ev.kind {
-                FaultKind::LinkDown { output, .. } => {
-                    mask_changed |= self.mask.fail_output(output);
-                }
-                FaultKind::LinkUp { output, .. } => {
-                    mask_changed |= self.mask.recover_output(output);
-                }
-                FaultKind::PortFail { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.fail_input(port),
-                        PortSide::Output => self.mask.fail_output(port),
-                    };
-                }
-                FaultKind::PortRecover { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.recover_input(port),
-                        PortSide::Output => self.mask.recover_output(port),
-                    };
-                }
-                FaultKind::CellDrop { input, .. } => {
-                    injected.insert(input);
-                }
-                FaultKind::CellCorrupt { input, .. } => {
-                    corrupted.insert(input);
-                }
-                FaultKind::ClockDrift { slots, .. } => {
-                    self.drift_until = self.drift_until.max(slot.saturating_add(slots));
-                }
-            }
-            log.record_applied(*ev);
-        }
-        if mask_changed {
-            self.scheduler.set_port_mask(self.mask);
-        }
-        let skip_schedule = slot < self.drift_until;
-        self.advance(arrivals, &injected, &corrupted, skip_schedule, Some(log));
+    /// Panics if either port is out of range.
+    pub fn pair_drops(&self, i: usize, j: usize) -> u64 {
+        let n = self.store.n;
+        assert!(i < n && j < n, "pair ({i},{j}) out of range");
+        self.store.pairs.get(i * n + j).map_or(0, |q| u64::from(q.dropped))
     }
 
-    /// The per-slot engine shared by [`BatchCrossbar::step_slot`] (no
-    /// faults) and [`BatchCrossbar::step_faulted`].
-    // an2-lint: hot
-    // an2-lint: allow(overflow-discipline) slot and delivery counters are monotone u64; delays are slot - inject_slot >= 0 by injection order
-    // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so all indices are < n
-    fn advance(
-        &mut self,
-        arrivals: &[Arrival],
-        injected: &PortSetN<W>,
-        corrupted: &PortSetN<W>,
-        skip_schedule: bool,
-        mut log: Option<&mut FaultLog>,
-    ) {
-        let slot = self.slot;
-        assert!(slot < u32::MAX as u64, "batch engine caps runs at 2^32 slots");
-        let n = self.n;
-        // Warming sweep: the slot's arrivals address random pair records,
-        // and the update loop below chains a dependent load into each one.
-        // Reading the records first issues the misses as independent loads
-        // the core overlaps, so the updates hit L1. (A prefetch intrinsic
-        // would need unsafe; a black-boxed read is the safe equivalent.)
-        let mut warm = 0u32;
-        for a in arrivals {
-            let p = a.input.index().wrapping_mul(n) + a.output.index();
-            warm = warm.wrapping_add(self.pairs.get(p).map_or(0, |q| q.len));
+    /// The O(n^2) half of the drop ledger: the per-pair drop counters must
+    /// sum to the engine total. Intended for end-of-run audits, not the
+    /// slot loop.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the imbalance when a per-pair counter and
+    /// the total disagree.
+    pub fn verify_drop_ledger(&self) -> Result<(), String> {
+        let per_pair: u64 = self.store.pairs.iter().map(|q| u64::from(q.dropped)).sum();
+        if per_pair != self.dropped() {
+            return Err(format!(
+                "drop ledger violated: per-pair drops sum to {per_pair} \
+                 but the engine counted {}",
+                self.dropped()
+            ));
         }
-        std::hint::black_box(warm);
-        let mut seen = PortSetN::<W>::new();
-        for a in arrivals {
-            let (i, j) = (a.input.index(), a.output.index());
-            assert!(
-                i < n && j < n,
-                "arrival ({},{}) outside {n}x{n} switch",
-                a.input,
-                a.output
-            );
-            assert!(
-                seen.insert(i),
-                "two cells arrived at input {} in one slot",
-                a.input
-            );
-            assert!(
-                a.flow == FlowId::for_pair(n, a.input, a.output),
-                "flow {} is not the pair flow of ({},{}): \
-                 BatchCrossbar requires one flow per pair; use CrossbarSwitch",
-                a.flow,
-                a.input,
-                a.output
-            );
-            let p = i * n + j;
-            // A scripted fault consumes the arrival on the wire: charged to
-            // the drop ledger instead of the pair FIFO. Failed ports still
-            // buffer (the mask only gates scheduling), matching the scalar
-            // engine's semantics.
-            let lost = if injected.contains(i) {
-                Some(DropCause::Injected)
-            } else if corrupted.contains(i) {
-                Some(DropCause::Corrupted)
-            } else {
-                None
-            };
-            if let Some(cause) = lost {
-                self.pairs[p].dropped += 1;
-                self.dropped += 1;
-                if let Some(log) = log.as_deref_mut() {
-                    log.record_drop(slot, 0, i, a.flow.0, cause);
-                }
-                continue;
-            }
-            let q = &mut self.pairs[p];
-            if q.len == 0 {
-                self.requests.set(a.input, a.output);
-            }
-            q.enqueue(slot as u32);
-            self.queued += 1;
-            self.arrivals += 1;
-            self.admitted_total += 1;
-        }
-        if skip_schedule {
-            // Clock drift: the crossbar cannot schedule; queues only grow.
-            self.peak_occupancy = self.peak_occupancy.max(self.queued);
-            self.slot += 1;
-            return;
-        }
-        // Idle-slot skip: with zero active pairs (O(1) from the request
-        // matrix's incremental counter) and a scheduler that declares the
-        // idle call a no-op, the slot's matching is known empty without
-        // invoking the scheduler at all. `step_faulted` funnels through
-        // here too, so masked/degraded slots take the same sparse path
-        // (the mask never adds requests, only removes candidates).
-        let matching = if self.requests.is_empty() && self.scheduler.idle_slot_is_noop() {
-            MatchingN::new(n)
-        } else {
-            if self.scheduler.wants_queue_observations() {
-                self.observe_queues(slot);
-            }
-            self.scheduler.schedule(&self.requests)
-        };
-        debug_assert!(
-            matching.respects(&self.requests),
-            "{} scheduled a pair with no queued cell",
-            self.scheduler.name()
-        );
-        // Same warming sweep for the matched pairs' records.
-        let mut warm = 0u32;
-        for (i, j) in matching.pairs() {
-            warm = warm.wrapping_add(self.pairs[i.index() * n + j.index()].len);
-        }
-        std::hint::black_box(warm);
-        for (i, j) in matching.pairs() {
-            let p = i.index() * n + j.index();
-            let q = &mut self.pairs[p];
-            let at = q.dequeue() as u64;
-            q.count += 1;
-            if q.len == 0 {
-                self.requests.clear(i, j);
-            }
-            self.queued -= 1;
-            self.departures += 1;
-            self.departed_total += 1;
-            self.per_output[j.index()] += 1;
-            if at >= self.measure_start {
-                let d = slot - at;
-                self.delay.record(d);
-                self.sketch.record(d);
-            }
-        }
-        self.peak_occupancy = self.peak_occupancy.max(self.queued);
-        self.slot += 1;
-    }
-
-    /// Feeds a queue-aware scheduler the depth and head-of-line age of
-    /// every active pair, read from its [`PairQueue`] — the same
-    /// observations [`CrossbarSwitch`](crate::switch::CrossbarSwitch)
-    /// reports from its VOQs.
-    fn observe_queues(&mut self, slot: u64) {
-        let n = self.n;
-        for (i, j) in self.requests.pairs() {
-            let Some(q) = self.pairs.get(i.index() * n + j.index()) else {
-                continue;
-            };
-            let age = q
-                .front()
-                .map_or(0, |arrived| slot.saturating_sub(u64::from(arrived)) as u32);
-            self.scheduler.observe_queue(i, j, q.len, age);
-        }
-    }
-}
-
-impl<const W: usize, S: Scheduler<W>> SwitchModel for BatchCrossbar<S, W> {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &'static str {
-        "batch-crossbar"
-    }
-
-    fn step(&mut self, arrivals: &[Arrival]) {
-        self.step_slot(arrivals);
-    }
-
-    fn queued(&self) -> usize {
-        self.queued
-    }
-
-    fn start_measurement(&mut self) {
-        self.measure_start = self.slot;
-        self.arrivals = 0;
-        self.departures = 0;
-        self.per_output.fill(0);
-        for q in &mut self.pairs {
-            q.count = 0;
-        }
-        self.delay = DelayStats::new();
-        self.sketch = QuantileSketch::new();
-        self.peak_occupancy = 0;
-    }
-
-    fn report(&self) -> SwitchReport {
-        let mut per_flow = Vec::new();
-        for (p, q) in self.pairs.iter().enumerate() {
-            if q.count > 0 {
-                per_flow.push((p as u64, q.count));
-            }
-        }
-        SwitchReport {
-            delay: self.delay.clone(),
-            slots: self.slot - self.measure_start,
-            arrivals: self.arrivals,
-            departures: self.departures,
-            departures_per_output: self.per_output.clone(),
-            departures_per_flow: per_flow,
-            peak_occupancy: self.peak_occupancy,
-            final_occupancy: self.queued,
-        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultLog, FaultPlan};
+    use crate::metrics::SwitchReport;
+    use crate::model::SwitchModel;
     use crate::sim::{simulate, SimConfig};
     use crate::switch::CrossbarSwitch;
     use crate::traffic::RateMatrixTraffic;
@@ -721,18 +476,58 @@ mod tests {
     }
 
     #[test]
-    fn sketch_tracks_exact_histogram() {
-        let mut batch = BatchCrossbar::new(8, Pim::new(8, 3));
-        let cfg = SimConfig {
-            warmup_slots: 200,
-            measure_slots: 2000,
+    fn events_naming_a_port_outside_the_switch_are_ignored() {
+        use crate::fault::{FaultEvent, FaultKind, PortSide};
+        use crate::traffic::Traffic;
+        let run = |events: Vec<FaultEvent>| {
+            let mut batch = BatchCrossbar::new(8, Pim::new(8, 3));
+            let mut t = RateMatrixTraffic::uniform(8, 0.9, 5);
+            let mut plan = FaultPlan::from_events(events);
+            let mut log = FaultLog::new();
+            let mut buf = Vec::new();
+            for s in 0..300 {
+                buf.clear();
+                t.arrivals(s, &mut buf);
+                batch.step_faulted(&buf, &mut plan, &mut log);
+            }
+            (batch.report(), log)
         };
-        let r = simulate(&mut batch, &mut RateMatrixTraffic::uniform(8, 0.9, 5), cfg);
-        let q = batch.quantiles();
-        assert_eq!(q.count(), r.delay.count());
-        assert_eq!(q.max(), r.delay.max());
-        let (approx, exact) = (q.quantile(0.99), r.delay.percentile(0.99));
-        assert!(approx <= exact && exact - approx <= approx / 8 + 1);
+        let (clean, _) = run(Vec::new());
+        let (r, log) = run(vec![
+            FaultEvent {
+                slot: 10,
+                kind: FaultKind::PortFail {
+                    switch: 0,
+                    side: PortSide::Input,
+                    port: 8,
+                },
+            },
+            FaultEvent {
+                slot: 11,
+                kind: FaultKind::CellDrop { switch: 0, input: 8 },
+            },
+        ]);
+        assert_eq!(log.applied().len(), 2, "still logged as applied");
+        assert_eq!(log.cells_dropped(), 0);
+        reports_match(&r, &clean);
+    }
+
+    #[test]
+    fn clock_started_near_u32_wrap_reports_the_same() {
+        // Stamps are u32: a run whose clock crosses 2^32 must report
+        // exactly what the same run from slot 0 reports.
+        let run = |start: u64| {
+            let mut batch = BatchCrossbar::new(8, Pim::new(8, 3));
+            batch.set_clock(start);
+            let cfg = SimConfig {
+                warmup_slots: 0,
+                measure_slots: 1000,
+            };
+            simulate(&mut batch, &mut RateMatrixTraffic::uniform(8, 0.95, 5), cfg)
+        };
+        let (wrapped, plain) = (run((1 << 32) - 100), run(0));
+        assert!(wrapped.departures > 0);
+        reports_match(&wrapped, &plain);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! randomness.
 
 use an2_sched::rng::{SelectRng, Xoshiro256};
+use an2_sched::{PortMaskN, PortSetN};
 
 /// Which side of a switch a [`FaultKind::PortFail`] affects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,6 +146,126 @@ impl FaultKind {
                 d.u64(slots);
             }
         }
+    }
+}
+
+/// One switch's health as fault events leave it: the ports in service,
+/// the inputs whose arrival is lost this slot, and the end of any clock
+/// excursion. Every engine applies [`FaultKind`]s through this one type.
+///
+/// Failed ports keep buffering arrivals; the mask only gates scheduling.
+/// An event naming a port `>= n` changes nothing, though the caller still
+/// logs it as applied: a fault plan is data, not trusted configuration.
+///
+/// # Examples
+///
+/// ```
+/// use an2_sim::fault::{DropCause, FaultKind, PortHealth};
+/// let mut h: PortHealth = PortHealth::new(4);
+/// assert!(h.apply(0, FaultKind::LinkDown { switch: 0, output: 2 }));
+/// assert!(!h.apply(0, FaultKind::LinkDown { switch: 0, output: 9 }));
+/// h.apply(0, FaultKind::CellCorrupt { switch: 0, input: 1 });
+/// assert_eq!(h.arrival_fault(1), Some(DropCause::Corrupted));
+/// h.end_slot();
+/// assert_eq!(h.arrival_fault(1), None);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct PortHealth<const W: usize = 4> {
+    mask: PortMaskN<W>,
+    /// Scheduling is suspended while `slot < drift_until`.
+    drift_until: u64,
+    /// Inputs whose arrival this slot is dropped / fails its CRC check.
+    injected: PortSetN<W>,
+    corrupted: PortSetN<W>,
+}
+
+impl<const W: usize> PortHealth<W> {
+    /// A healthy `n`-port switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `n` exceeds the width's capacity (`W * 64`).
+    pub fn new(n: usize) -> Self {
+        Self {
+            mask: PortMaskN::all(n),
+            drift_until: 0,
+            injected: PortSetN::new(),
+            corrupted: PortSetN::new(),
+        }
+    }
+
+    /// The ports in service.
+    pub fn mask(&self) -> PortMaskN<W> {
+        self.mask
+    }
+
+    pub(crate) fn set_mask(&mut self, mask: PortMaskN<W>) {
+        self.mask = mask;
+    }
+
+    /// Applies one event due at `slot`; `true` if the port mask changed.
+    pub fn apply(&mut self, slot: u64, kind: FaultKind) -> bool {
+        let n = self.mask.n();
+        match kind {
+            FaultKind::LinkDown { output, .. } => self.set_port(PortSide::Output, output, false),
+            FaultKind::LinkUp { output, .. } => self.set_port(PortSide::Output, output, true),
+            FaultKind::PortFail { side, port, .. } => self.set_port(side, port, false),
+            FaultKind::PortRecover { side, port, .. } => self.set_port(side, port, true),
+            FaultKind::CellDrop { input, .. } | FaultKind::CellCorrupt { input, .. } => {
+                let lost = match kind {
+                    FaultKind::CellDrop { .. } => &mut self.injected,
+                    _ => &mut self.corrupted,
+                };
+                if input < n {
+                    lost.insert(input);
+                }
+                false
+            }
+            FaultKind::ClockDrift { slots, .. } => {
+                self.drift_until = self.drift_until.max(slot.saturating_add(slots));
+                false
+            }
+        }
+    }
+
+    /// Takes a port out of service (`up == false`) or back into it; `true`
+    /// if the mask changed. A port `>= n` is ignored.
+    pub fn set_port(&mut self, side: PortSide, port: usize, up: bool) -> bool {
+        port < self.mask.n()
+            && match (side, up) {
+                (PortSide::Input, false) => self.mask.fail_input(port),
+                (PortSide::Input, true) => self.mask.recover_input(port),
+                (PortSide::Output, false) => self.mask.fail_output(port),
+                (PortSide::Output, true) => self.mask.recover_output(port),
+            }
+    }
+
+    /// Why the cell arriving at `input` this slot is lost, if it is. A
+    /// scripted drop wins over a corruption at the same input.
+    #[inline]
+    pub fn arrival_fault(&self, input: usize) -> Option<DropCause> {
+        if input >= self.mask.n() {
+            None
+        } else if self.injected.contains(input) {
+            Some(DropCause::Injected)
+        } else if self.corrupted.contains(input) {
+            Some(DropCause::Corrupted)
+        } else {
+            None
+        }
+    }
+
+    /// Whether a clock excursion suspends scheduling at `slot`.
+    #[inline]
+    pub fn drifting(&self, slot: u64) -> bool {
+        slot < self.drift_until
+    }
+
+    /// Ends the slot: its arrival faults expire.
+    #[inline]
+    pub fn end_slot(&mut self) {
+        self.injected = PortSetN::new();
+        self.corrupted = PortSetN::new();
     }
 }
 

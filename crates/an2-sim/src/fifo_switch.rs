@@ -89,7 +89,7 @@ impl FifoSwitch {
     ///
     /// Panics if any port index is out of range.
     pub fn preload(&mut self, arrivals: &[Arrival]) {
-        let slot = self.metrics.slot();
+        let slot = self.metrics.window.slot;
         let n = self.n();
         for a in arrivals {
             assert!(
@@ -99,7 +99,7 @@ impl FifoSwitch {
                 a.output
             );
             self.queues[a.input.index()].push_back(a.into_cell(slot));
-            self.metrics.on_arrival();
+            self.metrics.window.count_arrival();
         }
     }
 
@@ -156,11 +156,11 @@ impl SwitchModel for FifoSwitch {
 
     fn step(&mut self, arrivals: &[Arrival]) {
         let n = self.n();
-        let slot = self.metrics.slot();
-        validate_arrivals(n, arrivals);
+        let slot = self.metrics.window.slot;
+        validate_arrivals::<4>(n, arrivals);
         for a in arrivals {
             self.queues[a.input.index()].push_back(a.into_cell(slot));
-            self.metrics.on_arrival();
+            self.metrics.window.count_arrival();
         }
         if self.window == 1 {
             // Pure FIFO: heads contend, one winner per output.
@@ -188,7 +188,7 @@ impl SwitchModel for FifoSwitch {
             }
         }
         let occupancy = self.queued();
-        self.metrics.end_slot(occupancy);
+        self.metrics.window.end_slot(occupancy);
     }
 
     fn queued(&self) -> usize {

@@ -1,7 +1,7 @@
 //! Dense per-flow records indexed once at admission.
 //!
-//! The scalar engine keeps state per flow in two places: the VOQ buffers
-//! hold "a FIFO queue per flow" (§3.3), and the switch metrics count
+//! The VOQ buffers keep state per flow: "a FIFO queue per flow" (§3.3)
+//! and its departure count, and the other switch models' metrics count
 //! departures per flow. A [`FlowId`] is an arbitrary `u64`, so the obvious
 //! layout is a hash map per table, which costs a SipHash on every cell.
 //!

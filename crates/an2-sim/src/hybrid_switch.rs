@@ -148,10 +148,10 @@ impl HybridSwitch {
     /// Panics on the usual arrival violations (duplicate input, port out
     /// of range).
     pub fn step_classed(&mut self, arrivals: &[ClassedArrival]) {
-        let slot = self.metrics.slot();
+        let slot = self.metrics.window.slot;
         self.plain.clear();
         self.plain.extend(arrivals.iter().map(|c| c.arrival));
-        validate_arrivals(self.cbr.n(), &self.plain);
+        validate_arrivals::<4>(self.cbr.n(), &self.plain);
         for c in arrivals {
             let cell = c.arrival.into_cell(slot);
             let admitted = match c.class {
@@ -159,7 +159,7 @@ impl HybridSwitch {
                 ServiceClass::Vbr => self.vbr.push(cell),
             };
             if admitted.is_admitted() {
-                self.metrics.on_arrival();
+                self.metrics.window.count_arrival();
             }
         }
         // Reserved matching for this frame slot, restricted to pairs with
@@ -190,7 +190,7 @@ impl HybridSwitch {
                 self.record_departure(&cell, ServiceClass::Vbr, slot);
             }
         }
-        self.metrics.end_slot(self.queued());
+        self.metrics.window.end_slot(self.queued());
     }
 
     fn record_departure(&mut self, cell: &Cell, class: ServiceClass, slot: u64) {

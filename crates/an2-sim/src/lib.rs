@@ -34,6 +34,7 @@ pub mod analytic;
 pub mod batch;
 pub mod cell;
 pub mod chaos;
+pub mod core;
 pub mod experiment;
 pub mod fault;
 pub mod fifo_switch;
@@ -56,7 +57,8 @@ mod voq_differential;
 pub use batch::BatchCrossbar;
 pub use cell::{Arrival, Cell, FlowId};
 pub use chaos::{ChaosEngine, ChaosScenario};
-pub use fault::{DropCause, FaultEvent, FaultKind, FaultLog, FaultPlan, PortSide};
+pub use crate::core::{QueueStore, SlotCore};
+pub use fault::{DropCause, FaultEvent, FaultKind, FaultLog, FaultPlan, PortHealth, PortSide};
 pub use metrics::{DelayStats, SwitchReport};
 pub use model::SwitchModel;
 pub use sim::{simulate, SimConfig};

@@ -14,7 +14,9 @@ use crate::metrics::{DelayStats, SwitchReport};
 /// A step consists of: accept this slot's arrivals (at most one per
 /// input), choose departures subject to the model's constraints (at most
 /// one per output; for input-queued models also at most one per input),
-/// and retire them. Cells are never dropped — the AN2 design point (§2.4).
+/// and retire them. With the default unbounded buffers cells are never
+/// dropped — the AN2 design point (§2.4); a finite buffer drops on
+/// arrival, and the model's own ledger counts it.
 pub trait SwitchModel {
     /// The switch radix.
     fn n(&self) -> usize;
@@ -41,91 +43,76 @@ pub trait SwitchModel {
     fn report(&self) -> SwitchReport;
 }
 
-/// Shared measurement bookkeeping for switch models.
+/// The measurement window every switch model records into: slot clock,
+/// window counters, per-output departures, the delay histogram and peak
+/// occupancy.
 ///
 /// Delay is recorded at departure, only for cells that *arrived* during
-/// the measurement window (standard warmup truncation — cells already
-/// queued at warmup's end carry transient state).
+/// the window (standard warmup truncation — cells already queued at
+/// warmup's end carry transient state). A cell arrived in the window iff
+/// its delay is at most the window's length, so the check needs the delay
+/// only, never the absolute arrival stamp.
 #[derive(Clone, Debug)]
-pub(crate) struct ModelMetrics {
-    n: usize,
-    slot: u64,
+pub(crate) struct Window {
+    /// The current slot number (slots completed so far).
+    pub(crate) slot: u64,
     measure_start: u64,
     arrivals: u64,
     departures: u64,
     per_output: Vec<u64>,
-    /// Departures per flow in the window. A flow keeps its slot (at zero)
-    /// across [`ModelMetrics::restart`]; the report lists nonzero counts.
-    per_flow: FlowSlab<u64>,
     delay: DelayStats,
     peak_occupancy: usize,
 }
 
-impl ModelMetrics {
+impl Window {
     pub(crate) fn new(n: usize) -> Self {
         Self {
-            n,
             slot: 0,
             measure_start: 0,
             arrivals: 0,
             departures: 0,
             per_output: vec![0; n],
-            per_flow: FlowSlab::new(n),
             delay: DelayStats::new(),
             peak_occupancy: 0,
         }
-    }
-
-    /// The current slot number (slots completed so far).
-    pub(crate) fn slot(&self) -> u64 {
-        self.slot
     }
 
     pub(crate) fn restart(&mut self) {
         self.measure_start = self.slot;
         self.arrivals = 0;
         self.departures = 0;
-        self.per_output = vec![0; self.n];
-        self.per_flow.records_mut().for_each(|c| *c = 0);
+        self.per_output.fill(0);
         self.delay = DelayStats::new();
         self.peak_occupancy = 0;
     }
 
-    pub(crate) fn on_arrival(&mut self) {
-        self.arrivals += 1;
+    pub(crate) fn count_arrival(&mut self) {
+        self.arrivals = self.arrivals.wrapping_add(1);
     }
 
-    pub(crate) fn on_departure(&mut self, cell: &Cell) {
-        self.departures += 1;
-        self.per_output[cell.output.index()] += 1;
-        let slot = self
-            .per_flow
-            .intern(cell.input.index(), cell.output.index(), cell.flow);
-        if let Some(c) = self.per_flow.get_mut(slot) {
-            *c += 1;
+    /// One cell left through `output` after waiting `delay` slots.
+    pub(crate) fn count_departure(&mut self, output: usize, delay: u64) {
+        self.departures = self.departures.wrapping_add(1);
+        if let Some(c) = self.per_output.get_mut(output) {
+            *c = c.wrapping_add(1);
         }
-        if cell.arrival_slot >= self.measure_start {
-            self.delay.record(self.slot - cell.arrival_slot);
+        if delay <= self.slot.wrapping_sub(self.measure_start) {
+            self.delay.record(delay);
         }
     }
 
     /// Called once per slot after departures, with the post-slot occupancy.
     pub(crate) fn end_slot(&mut self, occupancy: usize) {
         self.peak_occupancy = self.peak_occupancy.max(occupancy);
-        self.slot += 1;
+        self.slot = self.slot.wrapping_add(1);
     }
 
-    pub(crate) fn report(&self, final_occupancy: usize) -> SwitchReport {
-        let mut per_flow: Vec<(u64, u64)> = self
-            .per_flow
-            .iter()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(f, &c)| (f.0, c))
-            .collect();
-        per_flow.sort_unstable();
+    /// The window's report; `per_flow` lists `(flow id, departures)`
+    /// sorted by flow id.
+    pub(crate) fn report(&self, final_occupancy: usize, per_flow: Vec<(u64, u64)>) -> SwitchReport {
         SwitchReport {
             delay: self.delay.clone(),
-            slots: self.slot - self.measure_start,
+            slots: self.slot.wrapping_sub(self.measure_start),
             arrivals: self.arrivals,
             departures: self.departures,
             departures_per_output: self.per_output.clone(),
@@ -136,13 +123,61 @@ impl ModelMetrics {
     }
 }
 
-/// Validates the per-slot arrival constraints shared by all models.
+/// A [`Window`] plus per-flow departure counts, for the models that keep
+/// cells outside a [`crate::core::QueueStore`].
+#[derive(Clone, Debug)]
+pub(crate) struct ModelMetrics {
+    pub(crate) window: Window,
+    /// Departures per flow in the window. A flow keeps its slot (at zero)
+    /// across [`ModelMetrics::restart`]; the report lists nonzero counts.
+    per_flow: FlowSlab<u64>,
+}
+
+impl ModelMetrics {
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            window: Window::new(n),
+            per_flow: FlowSlab::new(n),
+        }
+    }
+
+    pub(crate) fn restart(&mut self) {
+        self.window.restart();
+        self.per_flow.records_mut().for_each(|c| *c = 0);
+    }
+
+    pub(crate) fn on_departure(&mut self, cell: &Cell) {
+        let slot = self
+            .per_flow
+            .intern(cell.input.index(), cell.output.index(), cell.flow);
+        if let Some(c) = self.per_flow.get_mut(slot) {
+            *c += 1;
+        }
+        let delay = self.window.slot - cell.arrival_slot;
+        self.window.count_departure(cell.output.index(), delay);
+    }
+
+    pub(crate) fn report(&self, final_occupancy: usize) -> SwitchReport {
+        let mut per_flow: Vec<(u64, u64)> = self
+            .per_flow
+            .iter()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(f, &c)| (f.0, c))
+            .collect();
+        per_flow.sort_unstable();
+        self.window.report(final_occupancy, per_flow)
+    }
+}
+
+/// Validates the per-slot arrival constraints shared by all models, for a
+/// switch of radix `n <= 64 * W`.
 ///
 /// # Panics
 ///
 /// Panics if two arrivals share an input or any port index is `>= n`.
-pub(crate) fn validate_arrivals(n: usize, arrivals: &[Arrival]) {
-    let mut seen = an2_sched::PortSet::new();
+// an2-lint: allow(panic-freedom) the range and one-cell-per-input asserts are the documented arrival contract
+pub(crate) fn validate_arrivals<const W: usize>(n: usize, arrivals: &[Arrival]) {
+    let mut seen = an2_sched::PortSetN::<W>::new();
     for a in arrivals {
         assert!(
             a.input.index() < n && a.output.index() < n,
@@ -159,6 +194,15 @@ pub(crate) fn validate_arrivals(n: usize, arrivals: &[Arrival]) {
 }
 
 #[cfg(test)]
+impl Window {
+    /// Starts the clock (and the window) at `slot`.
+    pub(crate) fn set_clock(&mut self, slot: u64) {
+        self.slot = slot;
+        self.measure_start = slot;
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use an2_sched::{InputPort, OutputPort};
@@ -167,19 +211,19 @@ mod tests {
     fn metrics_window_truncates_warmup_cells() {
         let mut m = ModelMetrics::new(2);
         let pre = Arrival::pair(2, InputPort::new(0), OutputPort::new(1)).into_cell(0);
-        m.on_arrival();
-        m.end_slot(1);
+        m.window.count_arrival();
+        m.window.end_slot(1);
         m.restart(); // measurement starts at slot 1
         // The warmup cell departs at slot 3: counted as a departure but not
         // in the delay statistics.
-        m.end_slot(1);
-        m.end_slot(1);
+        m.window.end_slot(1);
+        m.window.end_slot(1);
         m.on_departure(&pre);
-        m.end_slot(0);
+        m.window.end_slot(0);
         let post = Arrival::pair(2, InputPort::new(0), OutputPort::new(1)).into_cell(4);
-        m.on_arrival();
+        m.window.count_arrival();
         m.on_departure(&post);
-        m.end_slot(0);
+        m.window.end_slot(0);
         let r = m.report(0);
         assert_eq!(r.departures, 2);
         assert_eq!(r.delay.count(), 1);
@@ -196,7 +240,7 @@ mod tests {
         m.on_departure(&c1);
         m.on_departure(&c2);
         m.on_departure(&c2);
-        m.end_slot(0);
+        m.window.end_slot(0);
         let r = m.report(0);
         assert_eq!(r.departures_per_flow, vec![(1, 2), (12, 1)]);
     }
@@ -205,13 +249,13 @@ mod tests {
     #[should_panic(expected = "two cells arrived")]
     fn duplicate_input_arrivals_panic() {
         let a = Arrival::pair(2, InputPort::new(0), OutputPort::new(1));
-        validate_arrivals(2, &[a, a]);
+        validate_arrivals::<4>(2, &[a, a]);
     }
 
     #[test]
     #[should_panic(expected = "outside")]
     fn out_of_range_arrival_panics() {
         let a = Arrival::pair(8, InputPort::new(5), OutputPort::new(1));
-        validate_arrivals(2, &[a]);
+        validate_arrivals::<4>(2, &[a]);
     }
 }

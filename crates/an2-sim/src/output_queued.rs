@@ -63,11 +63,11 @@ impl SwitchModel for OutputQueuedSwitch {
     }
 
     fn step(&mut self, arrivals: &[Arrival]) {
-        let slot = self.metrics.slot();
-        validate_arrivals(self.n(), arrivals);
+        let slot = self.metrics.window.slot;
+        validate_arrivals::<4>(self.n(), arrivals);
         for a in arrivals {
             self.queues[a.output.index()].push_back(a.into_cell(slot));
-            self.metrics.on_arrival();
+            self.metrics.window.count_arrival();
         }
         for q in &mut self.queues {
             if let Some(cell) = q.pop_front() {
@@ -75,7 +75,7 @@ impl SwitchModel for OutputQueuedSwitch {
             }
         }
         let occ = self.queued();
-        self.metrics.end_slot(occ);
+        self.metrics.window.end_slot(occ);
     }
 
     fn queued(&self) -> usize {

@@ -89,11 +89,11 @@ impl SwitchModel for SpeedupSwitch {
     }
 
     fn step(&mut self, arrivals: &[Arrival]) {
-        let slot = self.metrics.slot();
-        validate_arrivals(self.n(), arrivals);
+        let slot = self.metrics.window.slot;
+        validate_arrivals::<4>(self.n(), arrivals);
         for a in arrivals {
             if self.voq.push(a.into_cell(slot)).is_admitted() {
-                self.metrics.on_arrival();
+                self.metrics.window.count_arrival();
             }
         }
         // Up to k cells cross the fabric to each output...
@@ -114,7 +114,7 @@ impl SwitchModel for SpeedupSwitch {
             }
         }
         let occ = self.queued();
-        self.metrics.end_slot(occ);
+        self.metrics.window.end_slot(occ);
     }
 
     fn queued(&self) -> usize {

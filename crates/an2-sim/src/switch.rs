@@ -3,16 +3,19 @@
 //! Cells wait in random-access input buffers ([`VoqBuffers`]); once per
 //! slot a [`Scheduler`] — PIM in the paper, but any implementation of the
 //! trait — computes a conflict-free matching from the request matrix, and
-//! the matched cells cross the crossbar (§3.1). Cells are never dropped.
+//! the matched cells cross the crossbar (§3.1). The slot sequence itself
+//! is [`SlotCore`]'s; this engine is the core over the per-flow store.
+//! Buffers are unbounded by default; with a finite per-VOQ capacity
+//! ([`VoqBuffers::set_pair_capacity`]) an arrival at a full queue is
+//! dropped and counted, as are arrivals lost to injected faults.
 
 use crate::cell::Arrival;
-use crate::fault::{DropCause, FaultKind, FaultLog, FaultPlan, PortSide};
-use crate::metrics::SwitchReport;
-use crate::model::{validate_arrivals, ModelMetrics, SwitchModel};
+use crate::core::SlotCore;
 use crate::voq::VoqBuffers;
-use an2_sched::{PortMask, PortSet, Scheduler};
+use an2_sched::Scheduler;
 
-/// An input-queued switch driven by a crossbar scheduler.
+/// An input-queued switch driven by a crossbar scheduler: the slot core
+/// over the per-flow store.
 ///
 /// # Examples
 ///
@@ -34,24 +37,11 @@ use an2_sched::{PortMask, PortSet, Scheduler};
 /// // At half load the switch keeps up: arrivals ~ departures.
 /// assert!(report.departures as f64 >= report.arrivals as f64 * 0.95);
 /// ```
-#[derive(Clone, Debug)]
-pub struct CrossbarSwitch<S> {
-    scheduler: S,
-    voq: VoqBuffers,
-    metrics: ModelMetrics,
-    /// Port health, updated by applied fault events and pushed to the
-    /// scheduler only when it changes (so unfaulted runs never touch it).
-    mask: PortMask,
-    /// Scheduling is suspended while `slot < drift_until` (clock-drift
-    /// excursions, §2).
-    drift_until: u64,
-}
+pub type CrossbarSwitch<S> = SlotCore<VoqBuffers, S>;
 
 impl<S: Scheduler> CrossbarSwitch<S> {
     /// Creates a switch around `scheduler`, sized by the scheduler's own
-    /// port count where available; here the size is taken from the first
-    /// request matrix, so the scheduler must be constructed for the
-    /// intended radix.
+    /// port count.
     pub fn new(scheduler: S) -> CrossbarSwitch<S>
     where
         S: SizedScheduler,
@@ -67,173 +57,18 @@ impl<S: Scheduler> CrossbarSwitch<S> {
     /// Panics if `n == 0` or `n > MAX_PORTS`. (A mismatch with the
     /// scheduler's own size surfaces as a panic on the first step.)
     pub fn with_ports(n: usize, scheduler: S) -> CrossbarSwitch<S> {
-        CrossbarSwitch {
-            scheduler,
-            voq: VoqBuffers::new(n),
-            metrics: ModelMetrics::new(n),
-            mask: PortMask::all(n),
-            drift_until: 0,
-        }
-    }
-
-    /// The underlying scheduler.
-    pub fn scheduler(&self) -> &S {
-        &self.scheduler
-    }
-
-    /// Mutable access to the underlying scheduler (e.g. to adjust
-    /// statistical-matching reservations mid-run).
-    pub fn scheduler_mut(&mut self) -> &mut S {
-        &mut self.scheduler
+        SlotCore::from_parts(VoqBuffers::new(n), scheduler)
     }
 
     /// The input buffers (for occupancy inspection).
     pub fn buffers(&self) -> &VoqBuffers {
-        &self.voq
+        &self.store
     }
 
     /// Mutable access to the input buffers (e.g. to configure a finite
     /// per-VOQ capacity before a fault run).
     pub fn buffers_mut(&mut self) -> &mut VoqBuffers {
-        &mut self.voq
-    }
-
-    /// The current port health mask.
-    pub fn port_mask(&self) -> PortMask {
-        self.mask
-    }
-
-    /// Advances one slot under a fault plan: applies the plan's events due
-    /// this slot (masking ports, losing arrivals, suspending scheduling
-    /// during clock drift), then runs the ordinary arrival/schedule/
-    /// transmit sequence, recording every applied fault and lost cell in
-    /// `log`.
-    ///
-    /// The `switch` tag on events is ignored — the single-switch harness
-    /// applies every due event to itself; build per-switch plans when
-    /// driving several switches. With an empty plan this is bit-identical
-    /// to [`SwitchModel::step`] (the acceptance bar for the fault layer
-    /// being zero-impact when idle).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the usual arrival violations, or if an event names a port
-    /// outside the switch.
-    pub fn step_faulted(&mut self, arrivals: &[Arrival], plan: &mut FaultPlan, log: &mut FaultLog) {
-        let slot = self.metrics.slot();
-        let mut injected = PortSet::new();
-        let mut corrupted = PortSet::new();
-        let mut mask_changed = false;
-        for ev in plan.due(slot) {
-            match ev.kind {
-                FaultKind::LinkDown { output, .. } => {
-                    mask_changed |= self.mask.fail_output(output);
-                }
-                FaultKind::LinkUp { output, .. } => {
-                    mask_changed |= self.mask.recover_output(output);
-                }
-                FaultKind::PortFail { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.fail_input(port),
-                        PortSide::Output => self.mask.fail_output(port),
-                    };
-                }
-                FaultKind::PortRecover { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.recover_input(port),
-                        PortSide::Output => self.mask.recover_output(port),
-                    };
-                }
-                FaultKind::CellDrop { input, .. } => {
-                    injected.insert(input);
-                }
-                FaultKind::CellCorrupt { input, .. } => {
-                    corrupted.insert(input);
-                }
-                FaultKind::ClockDrift { slots, .. } => {
-                    self.drift_until = self.drift_until.max(slot.saturating_add(slots));
-                }
-            }
-            log.record_applied(*ev);
-        }
-        if mask_changed {
-            self.scheduler.set_port_mask(self.mask);
-        }
-        let skip_schedule = slot < self.drift_until;
-        self.advance_slot(arrivals, &injected, &corrupted, skip_schedule, Some(log));
-    }
-
-    /// The per-slot engine shared by [`SwitchModel::step`] (no faults) and
-    /// [`CrossbarSwitch::step_faulted`].
-    fn advance_slot(
-        &mut self,
-        arrivals: &[Arrival],
-        injected: &PortSet,
-        corrupted: &PortSet,
-        skip_schedule: bool,
-        mut log: Option<&mut FaultLog>,
-    ) {
-        let slot = self.metrics.slot();
-        validate_arrivals(self.n(), arrivals);
-        // 1. Arrivals join their flow queues and become eligible at once
-        //    ("any flows that have had cells arrive at the switch in the
-        //    meantime" are considered, §3.1) — unless a fault consumes them
-        //    on the wire or the VOQ is at capacity.
-        for a in arrivals {
-            let faulted = if injected.contains(a.input.index()) {
-                Some(DropCause::Injected)
-            } else if corrupted.contains(a.input.index()) {
-                Some(DropCause::Corrupted)
-            } else {
-                None
-            };
-            if let Some(cause) = faulted {
-                if let Some(log) = log.as_deref_mut() {
-                    log.record_drop(slot, 0, a.input.index(), a.flow.0, cause);
-                }
-                continue;
-            }
-            if self.voq.push(a.into_cell(slot)).is_admitted() {
-                self.metrics.on_arrival();
-            } else if let Some(log) = log.as_deref_mut() {
-                log.record_drop(slot, 0, a.input.index(), a.flow.0, DropCause::BufferFull);
-            }
-        }
-        if !skip_schedule {
-            // 2. Schedule the crossbar from the request matrix. Queue-aware
-            //    schedulers first get told what stands behind each request:
-            //    the pair's VOQ depth and its head-of-line cell age. The
-            //    walk covers exactly the active pairs (every requested pair
-            //    has a queued cell by construction), so queue-oblivious
-            //    schedulers pay nothing and weighted ones see fresh weights
-            //    for every pair they may legally match.
-            let requests = self.voq.requests();
-            if self.scheduler.wants_queue_observations() {
-                for (i, j) in requests.pairs() {
-                    let depth = self.voq.pair_occupancy(i, j) as u32;
-                    let age = self
-                        .voq
-                        .pair_head_arrival(i, j)
-                        .map_or(0, |arrived| slot.saturating_sub(arrived) as u32);
-                    self.scheduler.observe_queue(i, j, depth, age);
-                }
-            }
-            let matching = self.scheduler.schedule(requests);
-            debug_assert!(
-                matching.respects(requests),
-                "{} scheduled a pair with no queued cell",
-                self.scheduler.name()
-            );
-            // 3. Matched pairs transmit one cell each.
-            for (i, j) in matching.pairs() {
-                let cell = self
-                    .voq
-                    .pop(i, j)
-                    .expect("scheduler contract: matched pairs have queued cells");
-                self.metrics.on_departure(&cell);
-            }
-        }
-        self.metrics.end_slot(self.voq.len());
+        &mut self.store
     }
 
     /// Loads a queue snapshot directly into the buffers, bypassing the
@@ -243,51 +78,19 @@ impl<S: Scheduler> CrossbarSwitch<S> {
     /// slot.
     ///
     /// Returns the number of cells that were *not* admitted (non-zero only
-    /// with a finite per-VOQ capacity); callers must account for them so
-    /// the conservation ledger stays balanced.
+    /// with a finite per-VOQ capacity); they are charged to the drop
+    /// ledger, and callers must account for them too.
     ///
     /// # Panics
     ///
     /// Panics if any port is out of range or a flow changes output.
     #[must_use = "dropped preload cells must feed the conservation ledger"]
-    pub fn preload(&mut self, arrivals: &[crate::cell::Arrival]) -> usize {
-        let slot = self.metrics.slot();
-        let mut dropped = 0;
-        for a in arrivals {
-            if self.voq.push(a.into_cell(slot)).is_admitted() {
-                self.metrics.on_arrival();
-            } else {
-                dropped += 1;
-            }
-        }
-        dropped
-    }
-}
-
-impl<S: Scheduler> SwitchModel for CrossbarSwitch<S> {
-    fn n(&self) -> usize {
-        self.voq.n()
-    }
-
-    fn name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
-    fn step(&mut self, arrivals: &[Arrival]) {
-        let none = PortSet::new();
-        self.advance_slot(arrivals, &none, &none, false, None);
-    }
-
-    fn queued(&self) -> usize {
-        self.voq.len()
-    }
-
-    fn start_measurement(&mut self) {
-        self.metrics.restart();
-    }
-
-    fn report(&self) -> SwitchReport {
-        self.metrics.report(self.voq.len())
+    pub fn preload(&mut self, arrivals: &[Arrival]) -> usize {
+        let slot = self.window.slot;
+        arrivals
+            .iter()
+            .filter(|a| self.admit(a, slot).is_some())
+            .count()
     }
 }
 
@@ -337,6 +140,7 @@ impl SizedScheduler for an2_sched::Serenade {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::SwitchModel;
     use crate::traffic::{RateMatrixTraffic, TraceTraffic, Traffic};
     use an2_sched::maximum::MaximumMatching;
     use an2_sched::{AcceptPolicy, InputPort, IterationLimit, OutputPort, Pim};
@@ -389,7 +193,7 @@ mod tests {
         use crate::cell::{Arrival, FlowId};
         // Inputs 0 and 1 contend for output 0; input 1's VOQ is deeper, so
         // LQF-weighted MWM must serve it first — proof the depth/age walk
-        // in advance_slot actually lands in the scheduler's Q-matrix.
+        // in the core's feed actually lands in the scheduler's Q-matrix.
         let mut sw = CrossbarSwitch::new(an2_sched::Mwm::lqf(4));
         let shallow = Arrival {
             input: InputPort::new(0),
@@ -404,8 +208,8 @@ mod tests {
         let dropped = sw.preload(&[shallow, deep, deep, deep]);
         assert_eq!(dropped, 0);
         sw.step(&[]);
-        assert_eq!(sw.voq.pair_occupancy(InputPort::new(0), OutputPort::new(0)), 1);
-        assert_eq!(sw.voq.pair_occupancy(InputPort::new(1), OutputPort::new(0)), 2);
+        assert_eq!(sw.buffers().pair_occupancy(InputPort::new(0), OutputPort::new(0)), 1);
+        assert_eq!(sw.buffers().pair_occupancy(InputPort::new(1), OutputPort::new(0)), 2);
         // OCF flips the preference once input 0's head cell is the elder:
         // both heads arrived at slot 0, age ties at the next slot, and the
         // tie breaks to the lower input index — input 0 drains first.
@@ -413,8 +217,8 @@ mod tests {
         let dropped = sw.preload(&[shallow, deep, deep, deep]);
         assert_eq!(dropped, 0);
         sw.step(&[]);
-        assert_eq!(sw.voq.pair_occupancy(InputPort::new(0), OutputPort::new(0)), 0);
-        assert_eq!(sw.voq.pair_occupancy(InputPort::new(1), OutputPort::new(0)), 3);
+        assert_eq!(sw.buffers().pair_occupancy(InputPort::new(0), OutputPort::new(0)), 0);
+        assert_eq!(sw.buffers().pair_occupancy(InputPort::new(1), OutputPort::new(0)), 3);
     }
 
     #[test]
@@ -578,6 +382,61 @@ mod tests {
         assert_eq!(sw.report().departures, 0);
         sw.step_faulted(&arrivals, &mut plan, &mut log);
         assert!(sw.report().departures > 0, "scheduling resumed after drift");
+    }
+
+    #[test]
+    fn events_naming_a_port_outside_the_switch_are_ignored() {
+        use crate::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, PortSide};
+        let run = |events: Vec<FaultEvent>| {
+            let mut sw = CrossbarSwitch::new(Pim::new(4, 9));
+            let mut t = RateMatrixTraffic::uniform(4, 0.9, 3);
+            let mut plan = FaultPlan::from_events(events);
+            let mut log = FaultLog::new();
+            let mut buf = Vec::new();
+            for s in 0..300 {
+                buf.clear();
+                t.arrivals(s, &mut buf);
+                sw.step_faulted(&buf, &mut plan, &mut log);
+            }
+            (sw.report(), log)
+        };
+        let (clean, _) = run(Vec::new());
+        let (r, log) = run(vec![
+            FaultEvent {
+                slot: 10,
+                kind: FaultKind::PortFail {
+                    switch: 0,
+                    side: PortSide::Output,
+                    port: 4,
+                },
+            },
+            FaultEvent {
+                slot: 11,
+                kind: FaultKind::CellDrop { switch: 0, input: 4 },
+            },
+        ]);
+        assert_eq!(log.applied().len(), 2, "still logged as applied");
+        assert_eq!(log.cells_dropped(), 0);
+        assert_eq!(
+            (r.arrivals, r.departures, r.peak_occupancy, r.final_occupancy),
+            (clean.arrivals, clean.departures, clean.peak_occupancy, clean.final_occupancy)
+        );
+        assert_eq!(r.departures_per_flow, clean.departures_per_flow);
+        assert_eq!(r.delay, clean.delay);
+    }
+
+    #[test]
+    fn conservation_counts_cells_discarded_from_the_buffers() {
+        // Reroutes into a full queue and stranded flows take cells out of
+        // the VOQs without a departure; the ledger must still balance.
+        let mut sw = CrossbarSwitch::new(Pim::new(4, 9));
+        let flow = Arrival::pair(4, InputPort::new(0), OutputPort::new(1));
+        let dropped = sw.preload(&[flow, flow, flow]);
+        assert_eq!(dropped, 0);
+        assert_eq!(sw.buffers_mut().drop_flow(flow.flow), 3);
+        sw.verify_conservation().unwrap();
+        assert_eq!(sw.admitted(), 3);
+        assert_eq!(sw.departed(), 0);
     }
 
     #[test]

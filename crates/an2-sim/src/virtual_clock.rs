@@ -128,8 +128,8 @@ impl SwitchModel for VirtualClockSwitch {
     }
 
     fn step(&mut self, arrivals: &[Arrival]) {
-        let slot = self.metrics.slot();
-        validate_arrivals(self.n, arrivals);
+        let slot = self.metrics.window.slot;
+        validate_arrivals::<4>(self.n, arrivals);
         for a in arrivals {
             let cell = a.into_cell(slot);
             // VirtualClock tick: auxVC = max(real time, auxVC) + 1/rate.
@@ -143,7 +143,7 @@ impl SwitchModel for VirtualClockSwitch {
                 cell,
             });
             self.next_seq += 1;
-            self.metrics.on_arrival();
+            self.metrics.window.count_arrival();
         }
         for q in &mut self.queues {
             if let Some(s) = q.pop() {
@@ -151,7 +151,7 @@ impl SwitchModel for VirtualClockSwitch {
             }
         }
         let occ = self.queued();
-        self.metrics.end_slot(occ);
+        self.metrics.window.end_slot(occ);
     }
 
     fn queued(&self) -> usize {

@@ -14,7 +14,8 @@
 //! none of the cells of a flow are blocked or all are" — no head-of-line
 //! blocking (§3.1).
 
-use crate::cell::{Cell, FlowId};
+use crate::cell::{Arrival, Cell, FlowId};
+use crate::core::QueueStore;
 use crate::flow_slab::FlowSlab;
 use an2_sched::{InputPort, OutputPort, RequestMatrix};
 use std::collections::VecDeque;
@@ -70,6 +71,8 @@ struct FlowQueue {
     output: Option<OutputPort>,
     /// Queued cells with their arrival sequence numbers, oldest first.
     cells: VecDeque<(u64, Cell)>,
+    /// Cells of this flow that departed in the measurement window.
+    departed: u64,
 }
 
 /// The input-side buffer pool of one switch: per-flow FIFO queues plus
@@ -132,6 +135,9 @@ pub struct VoqBuffers {
     drops_total: u64,
     /// Discards per input port.
     drops_per_input: Vec<u64>,
+    /// Queued cells discarded by [`VoqBuffers::redirect_flow`] and
+    /// [`VoqBuffers::drop_flow`] (a subset of `drops_total`).
+    discarded: u64,
 }
 
 impl VoqBuffers {
@@ -168,6 +174,7 @@ impl VoqBuffers {
             pair_count: vec![0; n * n],
             drops_total: 0,
             drops_per_input: vec![0; n],
+            discarded: 0,
         }
     }
 
@@ -283,7 +290,13 @@ impl VoqBuffers {
     ///
     /// Panics if either port is out of range.
     pub fn pair_head_arrival(&self, i: InputPort, j: OutputPort) -> Option<u64> {
-        self.eligible[self.pair_index(i, j)]
+        self.head_arrival_at(self.pair_index(i, j))
+    }
+
+    /// [`VoqBuffers::pair_head_arrival`] by flat pair index.
+    fn head_arrival_at(&self, p: usize) -> Option<u64> {
+        self.eligible
+            .get(p)?
             .iter()
             .filter_map(|&slot| self.flows.get(slot)?.cells.front())
             .min_by_key(|&&(seq, _)| seq)
@@ -351,48 +364,46 @@ impl VoqBuffers {
     /// eligible flows per the configured [`ServiceDiscipline`] and
     /// preserving FIFO order within the chosen flow.
     ///
-    /// Returns `None` if no flow of the pair has a queued cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either port index is `>= n`.
+    /// Returns `None` if no flow of the pair has a queued cell, or if
+    /// either port index is `>= n`.
     pub fn pop(&mut self, i: InputPort, j: OutputPort) -> Option<Cell> {
-        let p = self.pair_index(i, j);
-        let list = &mut self.eligible[p];
+        if i.index() >= self.n || j.index() >= self.n {
+            return None;
+        }
+        let p = i.index() * self.n + j.index();
+        let list = self.eligible.get_mut(p)?;
         let slot = match self.discipline {
             ServiceDiscipline::RoundRobin => list.pop_front()?,
             ServiceDiscipline::Fifo => {
                 // Oldest head cell across the pair's flows.
                 let flows = &self.flows;
                 let pos = (0..list.len()).min_by_key(|&k| {
-                    flows
-                        .get(list[k])
-                        .and_then(|f| f.cells.front())
-                        .expect("eligible flow has a queued cell")
-                        .0
+                    list.get(k)
+                        .and_then(|&s| flows.get(s)?.cells.front())
+                        .map_or(u64::MAX, |&(seq, _)| seq)
                 })?;
                 list.remove(pos)?
             }
         };
-        let flow = self
-            .flows
-            .get_mut(slot)
-            .expect("eligible slots are in the slab");
-        let (_, cell) = flow
-            .cells
-            .pop_front()
-            .expect("eligible flow has a queued cell");
+        let flow = self.flows.get_mut(slot)?;
+        let (_, cell) = flow.cells.pop_front()?;
+        flow.departed = flow.departed.wrapping_add(1);
         if !flow.cells.is_empty() {
             // The flow rejoins at the back (round-robin rotation; harmless
             // under Fifo, which ignores list order).
+            // an2-lint: allow(alloc-in-hot-path) the slot was just removed from this deque, so push_back never grows it
             list.push_back(slot);
         } else if list.is_empty() {
             // The pair's last eligible flow drained; retract its request.
             self.requests.clear(i, j);
         }
-        self.total -= 1;
-        self.per_input[i.index()] -= 1;
-        self.pair_count[p] -= 1;
+        self.total = self.total.wrapping_sub(1);
+        if let Some(c) = self.per_input.get_mut(i.index()) {
+            *c = c.wrapping_sub(1);
+        }
+        if let Some(c) = self.pair_count.get_mut(p) {
+            *c = c.wrapping_sub(1);
+        }
         Some(cell)
     }
 
@@ -460,6 +471,7 @@ impl VoqBuffers {
         self.per_input[oi] -= dropped;
         self.drops_total += dropped as u64;
         self.drops_per_input[oi] += dropped as u64;
+        self.discarded += dropped as u64;
         if kept > 0 {
             self.eligible[oi * self.n + nj].push_back(slot);
             self.requests.set(i, new_output);
@@ -493,6 +505,7 @@ impl VoqBuffers {
         self.per_input[ii] -= count;
         self.drops_total += count as u64;
         self.drops_per_input[ii] += count as u64;
+        self.discarded += count as u64;
         count
     }
 
@@ -523,6 +536,70 @@ impl VoqBuffers {
             }
         }
         &self.heads
+    }
+}
+
+/// The flow store: [`crate::switch::CrossbarSwitch`]'s and the network
+/// simulator's queues. It never skips an idle slot's `schedule` call, so
+/// stateful-when-idle schedulers advance exactly as they would unskipped.
+impl QueueStore for VoqBuffers {
+    type Cell = Cell;
+
+    const SKIPS_IDLE: bool = false;
+
+    fn ports(&self) -> usize {
+        self.n
+    }
+
+    fn queued(&self) -> usize {
+        self.total
+    }
+
+    fn requests(&self) -> &RequestMatrix {
+        &self.requests
+    }
+
+    #[inline]
+    fn admit(&mut self, a: &Arrival, stamp: u64) -> bool {
+        // an2-lint: allow(alloc-in-hot-path) delegates to VoqBuffers::push; its amortized deque growth is justified at the definition
+        self.push(a.into_cell(stamp)).is_admitted()
+    }
+
+    #[inline]
+    // an2-lint: allow(panic-freedom) a matched pair without a queued cell breaks the scheduler contract; stopping the run beats a silent wrong result
+    fn depart(&mut self, i: InputPort, j: OutputPort, now: u64) -> (u64, Cell) {
+        let cell = self
+            .pop(i, j)
+            .expect("scheduler contract: matched pairs have queued cells");
+        (now.saturating_sub(cell.arrival_slot), cell)
+    }
+
+    fn observation(&self, i: InputPort, j: OutputPort, now: u64) -> (u32, u32) {
+        let p = i.index().wrapping_mul(self.n).wrapping_add(j.index());
+        let depth = self.pair_count.get(p).map_or(0, |&c| c as u32);
+        let age = self
+            .head_arrival_at(p)
+            .map_or(0, |arrived| now.saturating_sub(arrived) as u32);
+        (depth, age)
+    }
+
+    fn restart_window(&mut self) {
+        self.flows.records_mut().for_each(|f| f.departed = 0);
+    }
+
+    fn flow_departures(&self) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = self
+            .flows
+            .iter()
+            .filter(|(_, f)| f.departed > 0)
+            .map(|(id, f)| (id.0, f.departed))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    fn discarded(&self) -> u64 {
+        self.discarded
     }
 }
 

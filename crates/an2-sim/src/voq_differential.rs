@@ -4,7 +4,7 @@
 //! The reference keeps the layout the buffers had before the flow slab:
 //! one map from flow to FIFO, one map from flow to its pinned output, and
 //! per-pair lists of eligible flow ids. Departures are counted per flow in
-//! a map, as the switch metrics did. Random sequences of pushes, pops,
+//! a map, as the switch metrics once did. Random sequences of pushes, pops,
 //! reroutes, flow drops, capacity changes and measurement restarts drive
 //! both sides in lockstep, with several flows per pair and both service
 //! disciplines, and every observable must agree after every step.
@@ -14,7 +14,7 @@
 //! network simulator's reroutes.
 
 use crate::cell::{Cell, FlowId};
-use crate::model::ModelMetrics;
+use crate::core::QueueStore;
 use crate::voq::{PushOutcome, ServiceDiscipline, VoqBuffers};
 use an2_sched::det::DetHashMap;
 use an2_sched::{InputPort, OutputPort, RequestMatrix};
@@ -273,7 +273,6 @@ fn sorted_counts(counts: &DetHashMap<u64, u64>) -> Vec<(u64, u64)> {
 fn run(n: usize, discipline: ServiceDiscipline, ops: &[(u8, u64)]) {
     let mut slab = VoqBuffers::with_discipline(n, discipline);
     let mut map = MapVoq::new(n, discipline);
-    let mut metrics = ModelMetrics::new(n);
     let mut departures: DetHashMap<u64, u64> = DetHashMap::default();
     for (step, &(op, r)) in ops.iter().enumerate() {
         let slot = step as u64;
@@ -308,7 +307,6 @@ fn run(n: usize, discipline: ServiceDiscipline, ops: &[(u8, u64)]) {
                 let cell = slab.pop(i, j);
                 assert_eq!(cell, map.pop(i, j), "pop ({i},{j}) at step {step}");
                 if let Some(cell) = cell {
-                    metrics.on_departure(&cell);
                     *departures.entry(cell.flow.0).or_insert(0) += 1;
                 }
             }
@@ -339,19 +337,18 @@ fn run(n: usize, discipline: ServiceDiscipline, ops: &[(u8, u64)]) {
             }
             _ => {
                 assert_eq!(
-                    metrics.report(slab.len()).departures_per_flow,
+                    slab.flow_departures(),
                     sorted_counts(&departures),
                     "departures per flow before restart at step {step}"
                 );
-                metrics.restart();
+                slab.restart_window();
                 departures.clear();
             }
         }
-        metrics.end_slot(slab.len());
         assert_same(&mut slab, &map, step);
     }
     assert_eq!(
-        metrics.report(slab.len()).departures_per_flow,
+        slab.flow_departures(),
         sorted_counts(&departures),
         "departures per flow at the end"
     );
